@@ -519,6 +519,21 @@ mod tests {
     use crate::learner::{Learner, LearnerConfig};
     use crate::template::Template;
 
+    /// A fresh, empty temp directory no other test shares: process id, test
+    /// name and a per-process counter, so parallel test threads (and
+    /// concurrent test binaries) never delete each other's files.
+    fn unique_temp_dir(test: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "kbqa-persist-{test}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn model_save_load_roundtrip() {
         let world = World::generate(WorldConfig::tiny(42));
@@ -537,12 +552,11 @@ mod tests {
             .collect();
         let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
 
-        let dir = std::env::temp_dir().join("kbqa-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("model-roundtrip");
         let path = dir.join("model.json");
         save_model(&model, &path).unwrap();
         let restored = load_model(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(model.templates.len(), restored.templates.len());
         assert_eq!(model.stats.observations, restored.stats.observations);
@@ -607,11 +621,7 @@ mod tests {
         .pattern_index(std::sync::Arc::new(index))
         .build();
 
-        let dir = std::env::temp_dir().join(format!(
-            "kbqa-persist-artifacts-test-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unique_temp_dir("artifacts");
         assert!(!ServingArtifacts::present_in(&dir));
         ServingArtifacts::from_service(&service)
             .save(&dir)
@@ -682,8 +692,7 @@ mod tests {
     #[test]
     fn sharded_bundle_roundtrips_per_shard_snapshots() {
         let (service, questions) = learned_service(47, Some(ShardPlan::new(3)));
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-sharded-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unique_temp_dir("sharded");
         ServingArtifacts::from_service(&service)
             .save(&dir)
             .expect("save sharded bundle");
@@ -718,9 +727,7 @@ mod tests {
         // sidecar, but the files come from *different saves* — store from
         // save N, model from save N+1. Pre-manifest loads accepted this.
         let (service, _) = learned_service(48, None);
-        let dir =
-            std::env::temp_dir().join(format!("kbqa-persist-crossmix-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unique_temp_dir("crossmix");
         ServingArtifacts::from_service(&service)
             .save(&dir)
             .expect("save bundle");
@@ -752,8 +759,7 @@ mod tests {
     #[test]
     fn bundle_without_manifest_still_loads() {
         let (service, _) = learned_service(49, None);
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unique_temp_dir("bundle-no-manifest");
         ServingArtifacts::from_service(&service)
             .save(&dir)
             .expect("save bundle");
@@ -768,9 +774,7 @@ mod tests {
     #[test]
     fn store_snapshot_roundtrip_is_mapped_and_checksummed() {
         let world = World::generate(WorldConfig::tiny(44));
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-snap-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("snap");
         let path = dir.join(STORE_FILE);
 
         save_store(&world.store, &path).unwrap();
@@ -811,10 +815,7 @@ mod tests {
     #[test]
     fn legacy_json_store_still_warm_starts() {
         let world = World::generate(WorldConfig::tiny(45));
-        let dir =
-            std::env::temp_dir().join(format!("kbqa-persist-legacyjson-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("legacy-json");
         // Write the store the pre-snapshot way.
         let json_path = dir.join(LEGACY_STORE_FILE);
         save_json(world.store.as_ref(), &json_path).unwrap();
@@ -836,9 +837,7 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_checksummed() {
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-atomic-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("atomic");
         let path = dir.join("model.json");
 
         save_model(&LearnedModel::default(), &path).unwrap();
@@ -860,9 +859,7 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_fails_the_checksum_not_a_panic() {
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-corrupt-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("corrupt");
         let a = dir.join("a.json");
         let b = dir.join("b.json");
 
@@ -896,9 +893,7 @@ mod tests {
 
     #[test]
     fn legacy_artifact_without_sidecar_still_loads() {
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("artifact-no-sidecar");
         let path = dir.join("model.json");
         save_model(&LearnedModel::default(), &path).unwrap();
         std::fs::remove_file(checksum_path(&path)).unwrap();
@@ -908,12 +903,11 @@ mod tests {
 
     #[test]
     fn load_corrupt_file_errors() {
-        let dir = std::env::temp_dir().join("kbqa-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = unique_temp_dir("corrupt-json");
         let path = dir.join("corrupt.json");
         std::fs::write(&path, b"{ not json").unwrap();
         let result: Result<LearnedModel> = load_json(&path);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(result, Err(KbqaError::Io(_))));
     }
 }

@@ -125,12 +125,18 @@ impl RemoteShard {
         self.pool.lock().unwrap().clear();
     }
 
-    fn checkout(&self, remaining: Duration) -> Result<UnixStream, WireError> {
-        if let Some(stream) = self.pool.lock().unwrap().pop() {
-            set_timeouts(&stream, remaining)?;
-            return Ok(stream);
-        }
-        let stream = UnixStream::connect(&self.socket)?;
+    /// A pooled connection, or a new one when the pool is empty or `fresh`
+    /// asks for one.
+    fn checkout(&self, remaining: Duration, fresh: bool) -> Result<UnixStream, WireError> {
+        let pooled = if fresh {
+            None
+        } else {
+            self.pool.lock().unwrap().pop()
+        };
+        let stream = match pooled {
+            Some(stream) => stream,
+            None => UnixStream::connect(&self.socket)?,
+        };
         set_timeouts(&stream, remaining)?;
         Ok(stream)
     }
@@ -145,8 +151,13 @@ impl RemoteShard {
     /// One request/reply exchange on a fresh-or-pooled connection with the
     /// per-call deadline already running. The stream is only returned to
     /// the pool after a fully successful exchange.
-    fn exchange(&self, request: &Frame, remaining: Duration) -> Result<Frame, WireError> {
-        let mut stream = self.checkout(remaining)?;
+    fn exchange(
+        &self,
+        request: &Frame,
+        remaining: Duration,
+        fresh: bool,
+    ) -> Result<Frame, WireError> {
+        let mut stream = self.checkout(remaining, fresh)?;
         write_frame(&mut stream, request)?;
         let reply = read_frame(&mut stream)?;
         self.checkin(stream);
@@ -176,7 +187,9 @@ impl RemoteShard {
             if remaining.is_zero() {
                 break;
             }
-            match self.exchange(request, remaining) {
+            // Retries never reuse a pooled stream: after a transient error
+            // the pool may hold more streams to the same dead or faulty peer.
+            match self.exchange(request, remaining, attempt > 0) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.is_transient() => {
                     last = Some(e);

@@ -32,8 +32,12 @@
 //! |---|---|
 //! | `KBQA_SHARDD_EXIT_ON_START=<shard>` | exit(3) right after binding — crash loop |
 //! | `KBQA_SHARDD_CRASH_AFTER_LOOKUPS=<shard>:<n>` | abort() mid-serving after n lookups |
-//! | `KBQA_SHARDD_CORRUPT_EVERY=<shard>:<n>` | flip a byte in every nth reply frame |
-//! | `KBQA_SHARDD_TRUNCATE_EVERY=<shard>:<n>` | send only half of every nth reply |
+//! | `KBQA_SHARDD_CORRUPT_EVERY=<shard>:<n>` | flip a byte in every nth reply frame of each connection |
+//! | `KBQA_SHARDD_TRUNCATE_EVERY=<shard>:<n>` | send only half of every nth reply of each connection |
+//!
+//! Wire faults count per connection, not per worker: a client that retries
+//! on a fresh connection then meets a clean first reply, however many
+//! other connections share the worker.
 
 use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -98,7 +102,6 @@ struct WorkerState {
     store: RwLock<Arc<TripleStore>>,
     staged: Mutex<Option<(u64, Arc<TripleStore>)>>,
     served: AtomicU64,
-    replies: AtomicU64,
     chaos: Chaos,
 }
 
@@ -121,7 +124,6 @@ pub fn run(config: WorkerConfig) -> Result<()> {
         store: RwLock::new(store),
         staged: Mutex::new(None),
         served: AtomicU64::new(0),
-        replies: AtomicU64::new(0),
         chaos,
     });
     let _ = std::fs::remove_file(&config.socket);
@@ -147,6 +149,8 @@ pub fn run(config: WorkerConfig) -> Result<()> {
 fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
     let mut ws = PathWorkspace::default();
     let mut values: Vec<NodeId> = Vec::new();
+    // Replies sent on this connection, for the wire-fault chaos knobs.
+    let mut replies = 0u64;
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(frame) => frame,
@@ -158,7 +162,8 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                         code: ErrorCode::BadFrame,
                         message: e.to_string(),
                     },
-                    state,
+                    state.chaos,
+                    &mut replies,
                 );
                 return;
             }
@@ -234,7 +239,7 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                 }
             }
             Frame::Terminate => {
-                let _ = send(&mut stream, &Frame::Terminating, state);
+                let _ = send(&mut stream, &Frame::Terminating, state.chaos, &mut replies);
                 std::process::exit(0);
             }
             other => Frame::Error {
@@ -242,22 +247,28 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                 message: format!("unexpected frame {other:?}"),
             },
         };
-        if send(&mut stream, &reply, state).is_err() {
+        if send(&mut stream, &reply, state.chaos, &mut replies).is_err() {
             return;
         }
     }
 }
 
 /// Encode and write a reply, applying corruption/truncation chaos to every
-/// nth frame when armed.
-fn send(stream: &mut UnixStream, frame: &Frame, state: &WorkerState) -> std::io::Result<()> {
+/// nth frame of the connection when armed (`replies` counts its frames).
+fn send(
+    stream: &mut UnixStream,
+    frame: &Frame,
+    chaos: Chaos,
+    replies: &mut u64,
+) -> std::io::Result<()> {
     let mut bytes = encode_frame(frame);
-    let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
-    if state.chaos.corrupt_every > 0 && nth.is_multiple_of(state.chaos.corrupt_every) {
+    *replies += 1;
+    let nth = *replies;
+    if chaos.corrupt_every > 0 && nth.is_multiple_of(chaos.corrupt_every) {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // trash the checksum trailer
     }
-    if state.chaos.truncate_every > 0 && nth.is_multiple_of(state.chaos.truncate_every) {
+    if chaos.truncate_every > 0 && nth.is_multiple_of(chaos.truncate_every) {
         // A truncated frame models a writer dying mid-send, so the
         // connection dies with it: leaving it open would make the client
         // wait out its whole read deadline for bytes that never come,

@@ -10,14 +10,26 @@
 //!
 //! ```text
 //! Idle ── first byte ──▶ Reading ── full request ──▶ Dispatched
-//!  ▲                                                     │ worker pool
-//!  └────────── keep-alive ◀── Writing ◀── completion ────┘
+//!  ▲                        │                            │ worker pool
+//!  │                        │ cache hit                  │
+//!  │                        ▼                            │
+//!  └──── keep-alive ◀──── Writing ◀──── completion ──────┘
 //! ```
 //!
-//! Fully-read requests are handed to the existing **worker pool** (a
-//! `Mutex<VecDeque>` + `Condvar`, exactly as before), so every worker keeps
-//! its thread-local [`kbqa_core::engine::ScratchSpace`] and the PR 4
-//! allocation-free kernel path is untouched. Workers push finished
+//! `POST /answer` splits at the cache lookup (`Reading ── cache hit ──▶
+//! Writing`). The loop parses the body, takes one service snapshot, computes
+//! the versioned cache key and probes the striped answer cache. A hit — and
+//! a `400` or `409` — is serialized and written on the loop, with no thread
+//! hand-off. That work is bounded (a body of at most
+//! [`ServerConfig::max_body_bytes`], a hash, a lock-striped get), so a cold
+//! question can never stall the other connections on a loop: the loop never
+//! runs the kernel or decomposition.
+//!
+//! A miss, and every other route, is handed to the **worker pool** (a
+//! `Mutex<VecDeque>` + `Condvar`), so every worker keeps its thread-local
+//! [`kbqa_core::engine::ScratchSpace`] and the allocation-free kernel
+//! path is untouched. A miss carries its parsed request, snapshot and key,
+//! so nothing is parsed, keyed or looked up twice. Workers push finished
 //! responses onto the owning loop's completion queue and wake it through an
 //! `eventfd`; the loop writes response bytes with nonblocking writes
 //! (waiting on `EPOLLOUT` only when the socket pushes back).
@@ -86,8 +98,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kbqa_core::service::{KbqaService, QaRequest, QaResponse};
-use kbqa_obs::{Observability, SlowQuery, SlowQueryLog, Stage};
+use kbqa_core::service::{KbqaService, QaRequest, QaResponse, ServiceSnapshot};
+use kbqa_obs::{Observability, SlowQuery, SlowQueryLog, Stage, StageBreakdown};
 
 use crate::cache::{AnswerCache, CacheConfig};
 use crate::epoll::{
@@ -492,12 +504,28 @@ struct AppState {
     observability: Arc<Observability>,
 }
 
-/// One parsed request handed from an event loop to the worker pool.
+/// One unit of work handed from an event loop to the worker pool.
 struct Job {
+    reply: Reply,
+    work: Work,
+}
+
+/// Where a job's completions go: the owning loop and connection.
+#[derive(Clone, Copy)]
+struct Reply {
     loop_idx: usize,
     slot: u32,
     generation: u64,
-    request: Request,
+    /// What the request's `Connection` semantics asked for.
+    keep_alive_requested: bool,
+}
+
+enum Work {
+    /// A parsed request for [`route`] (every route but `POST /answer`).
+    Route(Request),
+    /// A `POST /answer` the loop already parsed, keyed and missed in the
+    /// cache: the worker only computes, inserts and serializes.
+    AnswerMiss(Box<AdmittedAnswer>),
 }
 
 /// What one completion carries back to the owning loop: a whole buffered
@@ -758,50 +786,59 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|poison| poison.into_inner());
             }
         };
-        let Some(job) = job else { return };
-        let keep_alive_requested = job.request.keep_alive();
-        if shared.config.stream_batch
-            && job.request.method == "POST"
-            && job.request.path == "/batch"
-            && job.request.stream_requested()
-        {
-            stream_batch_job(shared, &job, keep_alive_requested);
-            continue;
+        let Some(Job { reply, work }) = job else {
+            return;
+        };
+        if let Work::Route(request) = &work {
+            if shared.config.stream_batch
+                && request.method == "POST"
+                && request.path == "/batch"
+                && request.stream_requested()
+            {
+                stream_batch_job(shared, &reply, request);
+                continue;
+            }
         }
         // A panic while routing (engine bug, broken invariant) must cost
         // one request, not one worker: the fixed-size pool has no respawn.
         // The connection still gets a response (500) so the event loop's
         // state machine never waits on a completion that will not come.
-        let response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, &job.request)))
-                .unwrap_or_else(|_| {
-                    let response = Response::error(500, "internal error");
-                    shared.state.metrics.record_response(response.status);
-                    response
-                });
-        complete(shared, &job, Payload::Full(response), keep_alive_requested);
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match work {
+            Work::Route(request) => route(shared, &request),
+            Work::AnswerMiss(admitted) => {
+                let response = answer_miss(&shared.state, *admitted);
+                shared.state.metrics.record_response(response.status);
+                response
+            }
+        }))
+        .unwrap_or_else(|_| {
+            let response = Response::error(500, "internal error");
+            shared.state.metrics.record_response(response.status);
+            response
+        });
+        complete(shared, &reply, Payload::Full(response));
     }
 }
 
 /// Push one completion to the job's owning loop and wake it.
-fn complete(shared: &Shared, job: &Job, payload: Payload, keep_alive_requested: bool) {
-    shared.lock_completions(job.loop_idx).push(Completion {
-        slot: job.slot,
-        generation: job.generation,
+fn complete(shared: &Shared, reply: &Reply, payload: Payload) {
+    shared.lock_completions(reply.loop_idx).push(Completion {
+        slot: reply.slot,
+        generation: reply.generation,
         payload,
-        keep_alive_requested,
+        keep_alive_requested: reply.keep_alive_requested,
     });
-    shared.loops[job.loop_idx].wake.wake();
+    shared.loops[reply.loop_idx].wake.wake();
 }
 
 /// Drive one streamed `/batch` request, with the same panic containment as
 /// the buffered path: a panic before the stream head became a plain `500`;
 /// a panic after it aborts the stream (the loop closes the connection, so a
 /// truncated chunked body can never be mistaken for a complete one).
-fn stream_batch_job(shared: &Shared, job: &Job, keep_alive_requested: bool) {
+fn stream_batch_job(shared: &Shared, reply: &Reply, request: &Request) {
     let started = std::cell::Cell::new(false);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_batch_streaming(shared, job, keep_alive_requested, &started)
+        handle_batch_streaming(shared, reply, &request.body, &started)
     }));
     if result.is_err() {
         let payload = if started.get() {
@@ -813,7 +850,7 @@ fn stream_batch_job(shared: &Shared, job: &Job, keep_alive_requested: bool) {
             shared.state.metrics.record_response(500);
             Payload::Full(Response::error(500, "internal error"))
         };
-        complete(shared, job, payload, keep_alive_requested);
+        complete(shared, reply, payload);
     }
 }
 
@@ -954,6 +991,8 @@ struct EventLoop {
     due: Vec<(u32, u64, u64)>,
     completions_buf: Vec<Completion>,
     draining: bool,
+    /// Set while [`EventLoop::try_parse`] runs (see there).
+    parsing: bool,
     /// Renders heads, bodies and chunk framing straight into each
     /// connection's write buffer — one per loop, reused for every response.
     writer: ResponseWriter,
@@ -975,6 +1014,7 @@ impl EventLoop {
             due: Vec::new(),
             completions_buf: Vec::new(),
             draining: false,
+            parsing: false,
             writer: ResponseWriter::new(),
         }
     }
@@ -1250,11 +1290,26 @@ impl EventLoop {
         }
     }
 
-    /// Attempt to parse one request out of the connection's buffer; drives
-    /// dispatch, protocol errors, and EOF handling.
+    /// Parse and serve the requests buffered on a connection, in order,
+    /// until one is handed to the worker pool, the buffer runs dry, or the
+    /// connection closes. Requests answered on the loop (cache hits, sheds)
+    /// finish synchronously, so pipelined ones are served by iterating
+    /// here, never by recursing through `finish_response`.
     fn try_parse(&mut self, slot: u32, saw_eof: bool) {
+        self.parsing = true;
+        let mut saw_eof = saw_eof;
+        while self.parse_next(slot, saw_eof) {
+            saw_eof = false;
+        }
+        self.parsing = false;
+    }
+
+    /// Attempt to parse one request out of the connection's buffer; drives
+    /// dispatch, protocol errors, and EOF handling. `true` when the request
+    /// was answered on the loop and the next pipelined one is buffered.
+    fn parse_next(&mut self, slot: u32, saw_eof: bool) -> bool {
         let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
+            return false;
         };
         // Consume the tolerated leading blank lines *now*, not just inside
         // the parser: a peer streaming endless CRLFs must not grow the
@@ -1277,11 +1332,11 @@ impl EventLoop {
                     if rest.iter().all(|&b| b == b'\r' || b == b'\n') {
                         // EOF with nothing but blank lines pending: clean.
                         self.close(slot);
-                        return;
+                        return false;
                     }
                     // EOF mid-request is malformed, not a clean close.
                     self.respond_error(slot, 400);
-                    return;
+                    return false;
                 }
                 // Free the consumed prefix immediately — waiting for
                 // `finish_response` would let discarded bytes pile up.
@@ -1291,11 +1346,18 @@ impl EventLoop {
                     conn.buf.truncate(len - conn.buf_start);
                     conn.buf_start = 0;
                 }
+                false
             }
-            Parsed::Error(status) => self.respond_error(slot, status),
+            Parsed::Error(status) => {
+                self.respond_error(slot, status);
+                false
+            }
             Parsed::Request(request, consumed) => {
                 conn.buf_start += consumed;
                 self.dispatch(slot, *request);
+                // Back in `Reading` only via `finish_response` finding the
+                // next pipelined request already buffered.
+                matches!(self.conns.get(slot as usize), Some(Some(conn)) if conn.state == ConnState::Reading)
             }
         }
     }
@@ -1306,6 +1368,7 @@ impl EventLoop {
         // `/batch`) sheds when the worker queue is saturated; the control
         // plane (health, metrics, cache stats, admin) always dispatches, so
         // an overloaded server stays observable and operable.
+        let keep_alive_requested = request.keep_alive();
         let sheddable =
             request.method == "POST" && (request.path == "/answer" || request.path == "/batch");
         if sheddable && config.max_queued > 0 {
@@ -1325,11 +1388,23 @@ impl EventLoop {
                     retry_after: Some(jittered_retry_after(config, conn_token(slot, generation))),
                     content_type: "application/json",
                 };
-                let keep_alive = self.response_keep_alive(slot, request.keep_alive());
+                let keep_alive = self.response_keep_alive(slot, keep_alive_requested);
                 self.start_response(slot, &response, keep_alive);
                 return;
             }
         }
+        let work = if request.method == "POST" && request.path == "/answer" {
+            match self.answer_on_loop(&request.body) {
+                Lookup::Served(response) => {
+                    let keep_alive = self.response_keep_alive(slot, keep_alive_requested);
+                    self.start_response(slot, &response, keep_alive);
+                    return;
+                }
+                Lookup::Miss(admitted) => Work::AnswerMiss(admitted),
+            }
+        } else {
+            Work::Route(request)
+        };
         let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
             return;
         };
@@ -1337,13 +1412,33 @@ impl EventLoop {
         conn.deadline = None;
         let generation = conn.generation;
         self.set_interest(slot, 0);
+        // Counted before the push, so a job's own handler always sees it.
+        self.metrics().record_worker_dispatch();
         self.shared.lock_jobs().push_back(Job {
-            loop_idx: self.idx,
-            slot,
-            generation,
-            request,
+            reply: Reply {
+                loop_idx: self.idx,
+                slot,
+                generation,
+                keep_alive_requested,
+            },
+            work,
         });
         self.shared.available.notify_one();
+    }
+
+    /// The loop half of `POST /answer` (see [`answer_lookup`]), counted
+    /// like any routed request and with the worker's panic containment: a
+    /// panic answers `500` instead of taking the loop down.
+    fn answer_on_loop(&self, body: &[u8]) -> Lookup {
+        let state = &self.shared.state;
+        state.metrics.record_request();
+        let lookup =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_lookup(state, body)))
+                .unwrap_or_else(|_| Lookup::Served(Response::error(500, "internal error")));
+        if let Lookup::Served(response) = &lookup {
+            state.metrics.record_response(response.status);
+        }
+        lookup
     }
 
     /// Fold the keep-alive cap, shutdown, and peer half-close into the
@@ -1458,7 +1553,9 @@ impl EventLoop {
         if pipelined {
             let budget = self.shared.config.request_timeout;
             self.arm(slot, DeadlineKind::Request, budget);
-            self.try_parse(slot, false);
+            if !self.parsing {
+                self.try_parse(slot, false);
+            }
         } else {
             self.arm(slot, DeadlineKind::Idle, read_timeout);
         }
@@ -2066,7 +2163,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
     let state = &shared.state;
     state.metrics.record_request();
     let response = match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/answer") => handle_answer(state, &request.body),
+        ("POST", "/answer") => unreachable!("POST /answer is looked up on the event loop"),
         ("POST", "/batch") => handle_batch(state, &request.body),
         ("POST", "/admin/reload") => handle_reload(shared, request),
         ("GET", "/healthz") => handle_healthz(shared),
@@ -2354,20 +2451,41 @@ fn parse_body<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response
     serde_json::from_str(text).map_err(|e| Response::error(400, &e.to_string()))
 }
 
-/// `POST /answer`: one `QaRequest` in, one `QaResponse` out, consulting the
-/// cache first. A hit serializes the very `QaResponse` a cold run produced,
-/// so the body is byte-identical either way.
+/// A parsed and admitted `POST /answer`: what the loop half hands the
+/// worker half on a cache miss.
 ///
-/// Key and computation both come from a single [`ServiceSnapshot`], so the
-/// cache entry's epoch-versioned key always matches the epoch of the model
-/// that produced the value — even when a hot swap lands mid-request.
-///
-/// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
-fn handle_answer(state: &AppState, body: &[u8]) -> Response {
+/// Key and computation both come from the one [`ServiceSnapshot`] taken at
+/// admission, so the cache entry's epoch-versioned key always matches the
+/// epoch of the model that produced the value — even when a hot swap lands
+/// while the miss waits for a worker.
+struct AdmittedAnswer {
+    /// When the loop started on the request: answer latency and the slow
+    /// log measure from here, across the hand-off.
+    started: Instant,
+    request: QaRequest,
+    service: Arc<KbqaService>,
+    snapshot: ServiceSnapshot,
+    key: String,
+}
+
+/// What the loop half of `POST /answer` decided.
+enum Lookup {
+    /// Answered on the loop: a cache hit, or an early error.
+    Served(Response),
+    /// A cache miss for the worker pool.
+    Miss(Box<AdmittedAnswer>),
+}
+
+/// `POST /answer`, loop half: parse, admit (`400` on a bad body, `409`
+/// below a requested `min_epoch`), key and look up — exactly once per
+/// request. A hit serializes the very `QaResponse` a cold run produced, so
+/// the body is byte-identical either way. Bounded work only: this never
+/// runs the kernel.
+fn answer_lookup(state: &AppState, body: &[u8]) -> Lookup {
     let started = Instant::now();
     let mut request: QaRequest = match parse_body(body) {
         Ok(request) => request,
-        Err(response) => return response,
+        Err(response) => return Lookup::Served(response),
     };
     state.metrics.record_answer_request();
     if request.request_id.is_none() {
@@ -2382,30 +2500,52 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     // silently serving stale answers.
     if let Some(min_epoch) = request.min_epoch {
         if snapshot.model_epoch() < min_epoch {
-            return Response::error(
+            return Lookup::Served(Response::error(
                 409,
                 &format!(
                     "serving model epoch {} is below requested min_epoch {min_epoch}",
                     snapshot.model_epoch()
                 ),
-            );
+            ));
         }
     }
     let key = snapshot.cache_key(&request);
-    let mut cache_hit = true;
-    let mut breakdown = None;
-    let response = match state.cache.get(&key) {
-        Some(cached) => cached,
-        None => {
-            cache_hit = false;
-            let (computed, traced) = snapshot.answer_traced(&request);
-            breakdown = traced;
-            let computed = Arc::new(computed);
-            state.cache.insert(key, Arc::clone(&computed));
-            computed
-        }
+    let cached = state.cache.get(&key);
+    let admitted = AdmittedAnswer {
+        started,
+        request,
+        service,
+        snapshot,
+        key,
     };
-    state.metrics.record_outcome(&response);
+    match cached {
+        Some(response) => Lookup::Served(render_answer(state, &admitted, &response, None, true)),
+        None => Lookup::Miss(Box::new(admitted)),
+    }
+}
+
+/// `POST /answer`, worker half: compute the miss under the admitted
+/// snapshot, enter it in the cache, serialize.
+fn answer_miss(state: &AppState, mut admitted: AdmittedAnswer) -> Response {
+    let (computed, breakdown) = admitted.snapshot.answer_traced(&admitted.request);
+    let computed = Arc::new(computed);
+    state
+        .cache
+        .insert(std::mem::take(&mut admitted.key), Arc::clone(&computed));
+    render_answer(state, &admitted, &computed, breakdown, false)
+}
+
+/// The tail both halves share: count the outcome, serialize, offer the slow
+/// log, record latency. `breakdown` is the kernel's stage trace of a traced
+/// miss.
+fn render_answer(
+    state: &AppState,
+    admitted: &AdmittedAnswer,
+    response: &QaResponse,
+    mut breakdown: Option<StageBreakdown>,
+    cache_hit: bool,
+) -> Response {
+    state.metrics.record_outcome(response);
     let serialize_started = Instant::now();
     let mut body = Vec::with_capacity(256);
     response.serialize_into(&mut body);
@@ -2417,7 +2557,8 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
         breakdown.set(Stage::Serialize, us);
         state.metrics.stage_stats().record_us(Stage::Serialize, us);
     }
-    let total_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let request = &admitted.request;
+    let total_us = u64::try_from(admitted.started.elapsed().as_micros()).unwrap_or(u64::MAX);
     state.slow.offer(total_us, || SlowQuery {
         request_id: request.request_id.unwrap_or(0),
         question: request.question.clone(),
@@ -2426,10 +2567,13 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
         refusal: response.refusal.map(|r| r.to_string()),
         cache_hit,
         model_epoch: response.model_epoch,
-        store_backend: service.store().backend_kind().as_str().to_string(),
+        store_backend: admitted.service.store().backend_kind().as_str().to_string(),
         traced: breakdown.is_some(),
     });
-    state.metrics.answer_latency.record(started.elapsed());
+    state
+        .metrics
+        .answer_latency
+        .record(admitted.started.elapsed());
     rendered
 }
 
@@ -2439,7 +2583,7 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
 /// whole batch via [`AnswerCache::get_batch`]).
 struct BatchSetup {
     requests: Vec<QaRequest>,
-    snapshot: kbqa_core::service::ServiceSnapshot,
+    snapshot: ServiceSnapshot,
     keys: Vec<String>,
     responses: Vec<Option<Arc<QaResponse>>>,
 }
@@ -2556,28 +2700,26 @@ const STREAM_LANE_QUESTIONS: usize = 16;
 ///
 /// `started` flips once the stream head is pushed; the caller uses it to
 /// tell "answer with 500" apart from "abort the stream" on a panic.
-///
-/// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
 fn handle_batch_streaming(
     shared: &Shared,
-    job: &Job,
-    keep_alive_requested: bool,
+    reply: &Reply,
+    body: &[u8],
     started: &std::cell::Cell<bool>,
 ) {
     let state = &shared.state;
     let t_start = Instant::now();
     state.metrics.record_request();
-    let mut setup = match batch_setup(state, &job.request.body) {
+    let mut setup = match batch_setup(state, body) {
         Ok(setup) => setup,
         Err(response) => {
             state.metrics.record_response(response.status);
-            complete(shared, job, Payload::Full(response), keep_alive_requested);
+            complete(shared, reply, Payload::Full(response));
             return;
         }
     };
     state.metrics.record_batch_stream_request();
     state.metrics.record_response(200);
-    complete(shared, job, Payload::StreamStart, keep_alive_requested);
+    complete(shared, reply, Payload::StreamStart);
     started.set(true);
 
     let n = setup.requests.len();
@@ -2598,12 +2740,7 @@ fn handle_batch_streaming(
         }
         *serialize_ns = 0;
         state.metrics.record_batch_stream_chunk();
-        complete(
-            shared,
-            job,
-            Payload::Chunk(std::mem::take(pending)),
-            keep_alive_requested,
-        );
+        complete(shared, reply, Payload::Chunk(std::mem::take(pending)));
     };
     let mut lane_start = 0;
     while lane_start < n {
@@ -2626,7 +2763,7 @@ fn handle_batch_streaming(
     }
     pending.push(b']');
     flush(&mut pending, &mut serialize_ns, true);
-    complete(shared, job, Payload::StreamEnd, keep_alive_requested);
+    complete(shared, reply, Payload::StreamEnd);
     state.metrics.batch_latency.record(t_start.elapsed());
 }
 

@@ -49,11 +49,13 @@ pub struct Metrics {
     admin_reloads: AtomicU64,
     open_connections: AtomicU64,
     epoll_wakeups: AtomicU64,
+    worker_dispatches: AtomicU64,
     request_ids: AtomicU64,
     /// Per-pipeline-stage latency histograms, shared with the engine's
     /// [`kbqa_obs::Observability`] sink.
     stage: Arc<StageStats>,
-    /// `POST /answer` end-to-end latency (parse → serialize).
+    /// `POST /answer` end-to-end latency (parse → serialize; a cache miss
+    /// includes its wait for a worker).
     pub answer_latency: LatencyHistogram,
     /// `POST /batch` end-to-end latency (whole batch).
     pub batch_latency: LatencyHistogram,
@@ -91,6 +93,7 @@ impl Metrics {
             admin_reloads: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             epoll_wakeups: AtomicU64::new(0),
+            worker_dispatches: AtomicU64::new(0),
             request_ids: AtomicU64::new(0),
             stage: Arc::new(StageStats::new()),
             answer_latency: LatencyHistogram::new(),
@@ -177,6 +180,12 @@ impl Metrics {
         self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one job pushed to the worker pool (every routed request but a
+    /// `POST /answer` served on its event loop).
+    pub fn record_worker_dispatch(&self) {
+        self.worker_dispatches.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The next server-assigned request ID (a process-local monotonic
     /// counter, starting at 1).
     pub fn next_request_id(&self) -> u64 {
@@ -238,6 +247,7 @@ impl Metrics {
             admin_reloads: self.admin_reloads.load(Ordering::Relaxed),
             open_connections: self.open_connections.load(Ordering::Relaxed),
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
+            worker_dispatches: self.worker_dispatches.load(Ordering::Relaxed),
             answer_latency: self.answer_latency.snapshot(),
             batch_latency: self.batch_latency.snapshot(),
             stage: self.stage.snapshot(),
@@ -316,6 +326,10 @@ pub struct MetricsSnapshot {
     /// `epoll_wait` returns that carried at least one event (counter).
     #[serde(default)]
     pub epoll_wakeups: u64,
+    /// Jobs pushed to the worker pool (counter). `POST /answer` cache hits
+    /// and early errors are served on the event loop and never dispatch.
+    #[serde(default)]
+    pub worker_dispatches: u64,
     /// `/answer` latency histogram.
     pub answer_latency: HistogramSnapshot,
     /// `/batch` latency histogram.
@@ -469,6 +483,11 @@ impl MetricsSnapshot {
             "kbqa_epoll_wakeups_total",
             "epoll_wait returns that carried at least one event.",
             self.epoll_wakeups,
+        );
+        w.counter(
+            "kbqa_worker_dispatches_total",
+            "Jobs pushed to the worker pool (POST /answer cache hits never are).",
+            self.worker_dispatches,
         );
         w.family(
             "kbqa_request_latency_seconds",
@@ -692,6 +711,7 @@ mod tests {
         validate_exposition(&text).expect("exposition must be valid");
         for family in [
             "kbqa_http_requests_total",
+            "kbqa_worker_dispatches_total 0",
             "kbqa_refusals_total{cause=\"no_template_matched\"} 1",
             "kbqa_refusals_total{cause=\"shard_unavailable\"} 0",
             "kbqa_shard_queries_total{shard=\"1\"} 1",

@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kbqa_core::learner::LearnedModel;
 use kbqa_core::service::KbqaService;
@@ -401,6 +401,103 @@ fn route_priority_sheds_answer_while_serving_healthz() {
         snap.requests_total > snap.requests_shed_by_route,
         "route sheds count as parsed requests: {snap:?}"
     );
+
+    server.shutdown();
+}
+
+/// A `/batch` body of `n` copies of one refused question: on the empty
+/// service each is cheap, so it takes many to keep a worker busy for a
+/// while (about 0.7 s for 200k on a 2-vCPU VM).
+fn busy_batch(n: usize) -> String {
+    let question = "{\"question\":\"what is the population of nowhere at all\"},";
+    let mut batch = String::with_capacity(question.len() * n + 2);
+    batch.push('[');
+    for _ in 0..n {
+        batch.push_str(question);
+    }
+    batch.pop();
+    batch.push(']');
+    batch
+}
+
+#[test]
+fn cache_hits_never_wait_on_the_worker_pool() {
+    let server = start(ServerConfig {
+        workers: 1,
+        max_body_bytes: 64 << 20,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let warm = "{\"question\":\"what is the population of somewhere warm\"}";
+    let (status, first) = http(addr, "POST", "/answer", warm);
+    assert_eq!(status, 200, "{first}");
+
+    // Occupy the single worker with a large /batch (the pattern of
+    // `route_priority_sheds_answer_while_serving_healthz`), and give the
+    // loop time to read it and hand it over.
+    let mut busy = TcpStream::connect(addr).expect("connect busy");
+    busy.write_all(&request_bytes("POST", "/batch", &busy_batch(200_000), true))
+        .expect("write batch");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let started = Instant::now();
+    let (status, again) = http(addr, "POST", "/answer", warm);
+    let elapsed = started.elapsed();
+    // Whether the worker is still on the batch: no byte of its response yet.
+    busy.set_nonblocking(true).unwrap();
+    let still_busy = matches!(
+        busy.read(&mut [0u8; 1]),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    );
+    busy.set_nonblocking(false).unwrap();
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, first, "a hit is byte-identical to the first answer");
+    assert!(
+        elapsed < Duration::from_millis(50),
+        "a cache hit waited {elapsed:?} behind the busy worker"
+    );
+    assert!(
+        still_busy,
+        "the batch must still occupy the worker when the hit returns"
+    );
+    let (status, _, _) = read_response(&mut busy);
+    assert_eq!(status, 200);
+
+    server.shutdown();
+}
+
+#[test]
+fn thousands_of_pipelined_cache_hits_are_served_in_order() {
+    let server = start(ServerConfig {
+        keep_alive_requests: 10_000,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let warm = "{\"question\":\"what is the population of somewhere warm\"}";
+    let (status, first) = http(addr, "POST", "/answer", warm);
+    assert_eq!(status, 200, "{first}");
+
+    // Hits finish synchronously on the loop, so a pipeline of them is
+    // served by iterating over the buffer, not by one nested call per
+    // request (which would exhaust the loop thread's stack).
+    const PIPELINED: usize = 5_000;
+    let mut wire = Vec::new();
+    for i in 0..PIPELINED {
+        wire.extend_from_slice(&request_bytes("POST", "/answer", warm, i + 1 == PIPELINED));
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone stream");
+        std::thread::spawn(move || stream.write_all(&wire).expect("write pipeline"))
+    };
+    for i in 0..PIPELINED {
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "request {i}: {body}");
+        assert_eq!(body, first, "request {i}");
+    }
+    writer.join().unwrap();
+    let snap = metrics(addr);
+    assert_eq!(snap.cache.hits, PIPELINED as u64, "{snap:?}");
 
     server.shutdown();
 }

@@ -188,6 +188,56 @@ fn answer_matches_in_process_and_repeat_is_served_from_cache() {
 }
 
 #[test]
+fn every_answer_is_looked_up_once_and_hits_never_reach_the_worker_pool() {
+    let f = fixture();
+    let server = start_server();
+    let addr = server.local_addr();
+
+    // K distinct cold questions, then the same K again.
+    let bodies: Vec<String> = f
+        .questions
+        .iter()
+        .map(|q| serde_json::to_string(&QaRequest::new(q)).unwrap())
+        .collect();
+    let k = bodies.len() as u64;
+    let mut cold_answers = Vec::new();
+    for body in &bodies {
+        let (status, answer) = http(addr, "POST", "/answer", body);
+        assert_eq!(status, 200, "{answer}");
+        cold_answers.push(answer);
+    }
+    let after_cold = metrics(addr);
+    for (body, cold) in bodies.iter().zip(&cold_answers) {
+        let (status, answer) = http(addr, "POST", "/answer", body);
+        assert_eq!(status, 200);
+        assert_eq!(&answer, cold, "a hit is byte-identical to its miss");
+    }
+    let after_hot = metrics(addr);
+
+    // One lookup per request: no miss is looked up again on the worker.
+    let stats = cache_stats(addr);
+    assert_eq!((stats.misses, stats.hits), (k, k), "{stats:?}");
+    // The loop path and the worker path count alike. Each `/metrics`
+    // scrape counts itself as a request (its response is recorded after
+    // the snapshot), so the second scrape sees the first scrape's 2xx.
+    assert_eq!(after_hot.answer_requests, 2 * k);
+    assert_eq!(after_hot.requests_total, 2 * k + 2);
+    assert_eq!(after_hot.responses_2xx, 2 * k + 1);
+    assert_eq!(after_hot.answered + after_hot.refused, 2 * k);
+    assert_eq!(after_hot.answer_latency.count, 2 * k);
+    // Every miss crossed the pool; no hit did. The scrapes themselves are
+    // routed through the pool and count one dispatch each.
+    assert_eq!(after_cold.worker_dispatches, k + 1);
+    assert_eq!(
+        after_hot.worker_dispatches - after_cold.worker_dispatches,
+        1,
+        "the hit pass adds no dispatch beyond its own scrape"
+    );
+
+    server.shutdown();
+}
+
+#[test]
 fn requests_with_different_overrides_do_not_share_cache_entries() {
     let f = fixture();
     let server = start_server();

@@ -136,6 +136,9 @@ fn prometheus_exposition_is_valid_and_carries_stage_and_cause_families() {
         "kbqa_request_latency_seconds_bucket{route=\"answer\"",
         "kbqa_store_info{backend=",
         "kbqa_model_epoch 0",
+        // The two misses and this scrape crossed the worker pool; the hit
+        // was answered on the event loop.
+        "kbqa_worker_dispatches_total 3",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }
