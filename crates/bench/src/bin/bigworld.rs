@@ -3,7 +3,6 @@
 //! ```text
 //! bigworld [--profiles large,mega] [--questions N] [--pairs N]
 //!          [--out PATH] [--cold-parse auto|on|off] [--budget-secs S]
-//!          [--shards 1,2,4,8]
 //! ```
 //!
 //! For each profile this bin builds the world, writes the zero-copy
@@ -25,19 +24,6 @@
 //!
 //! `--budget-secs` makes the bin exit nonzero if the whole run (build →
 //! snapshot → map → answer) exceeds the budget — the CI time gate.
-//!
-//! # Shard sweep (`--shards`, PR 8)
-//!
-//! `--shards 1,2,4,8` re-runs the serving passes (cache-cold single
-//! questions + `answer_batch`) at each shard count on the same world,
-//! model, and question set. `1` is the plain mapped single-store path (no
-//! router anywhere on the hot path); N > 1 partitions through a
-//! [`kbqa_core::ShardPlan`] — each shard a self-contained in-memory store
-//! with a direct `(subject, predicate) → run` adjacency hash index over its
-//! cut, so per-lookup cost drops from a galloping binary search over the
-//! mapped columns to one hash probe. Partition time, cut balance (skew,
-//! replication overhead) and both throughputs are recorded per count so
-//! `BENCH_PR8.json` carries the whole scaling curve for this machine.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,30 +73,6 @@ struct ProfileReport {
     /// Raw name→entity grounding lookups/sec against the mapped name
     /// section.
     grounding_lookups_per_sec: f64,
-    /// The `--shards` sweep: serving throughput per shard count (empty
-    /// when the sweep was not requested).
-    #[serde(default)]
-    shard_runs: Vec<ShardRun>,
-}
-
-/// One `--shards` sweep point: the serving passes at one shard count.
-#[derive(Serialize, Deserialize)]
-struct ShardRun {
-    /// Shard count (1 = plain single-store path, no router).
-    shards: usize,
-    /// Wall seconds to partition the store (subject-hash cut + per-shard
-    /// BFS closure + adjacency index builds); 0 at one shard.
-    partition_secs: f64,
-    /// Largest shard's owned-triple count over the mean (1.0 = perfectly
-    /// balanced); 0 at one shard.
-    skew: f64,
-    /// Replicated triples (closure copies) over owned triples across the
-    /// cut; 0 at one shard.
-    replication_overhead: f64,
-    /// Cache-cold single-question throughput through the router, q/s.
-    cold_questions_per_sec: f64,
-    /// `answer_batch` throughput through the scatter-gather scheduler, q/s.
-    batch_questions_per_sec: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -133,7 +95,6 @@ fn run_profile(
     questions: usize,
     pairs: usize,
     cold_parse: bool,
-    shard_counts: &[usize],
 ) -> ProfileReport {
     eprintln!("[bigworld] {name}: generating world…");
     let t = Instant::now();
@@ -250,67 +211,6 @@ fn run_profile(
     let serving_batch_questions_per_sec =
         question_set.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
 
-    // The --shards sweep: the same two serving passes per shard count.
-    let mut shard_runs = Vec::new();
-    for &n in shard_counts {
-        let (svc, partition_secs, skew, replication_overhead);
-        if n > 1 {
-            eprintln!("[bigworld] {name}: partitioning into {n} shards…");
-            let t = Instant::now();
-            let sharded = service.with_shards(kbqa_core::ShardPlan::new(n));
-            partition_secs = t.elapsed().as_secs_f64();
-            let stats = sharded
-                .shard_router()
-                .expect("router after with_shards")
-                .stats()
-                .clone();
-            skew = stats.skew();
-            replication_overhead = stats.replication_overhead();
-            svc = sharded;
-        } else {
-            (partition_secs, skew, replication_overhead) = (0.0, 0.0, 0.0);
-            svc = service.clone();
-        }
-
-        // Both passes run on a fresh thread so every sweep point starts
-        // from a cold thread-local scratch — otherwise the single-shard
-        // point would inherit the main thread's warmed buffers while the
-        // sharded batch workers start cold, and the comparison would
-        // flatter whichever point ran last on the main thread.
-        let (cold_questions_per_sec, batch_questions_per_sec) = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let t = Instant::now();
-                    for q in &question_set {
-                        let _ = svc.answer_text(q);
-                    }
-                    let cold = question_set.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-
-                    let t = Instant::now();
-                    let batch = svc.answer_batch(&requests);
-                    assert_eq!(batch.len(), question_set.len());
-                    let per_sec = question_set.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-                    (cold, per_sec)
-                })
-                .join()
-                .expect("sweep thread")
-        });
-
-        eprintln!(
-            "[bigworld] {name}: shards={n} cold {cold_questions_per_sec:.0} q/s, \
-             batch {batch_questions_per_sec:.0} q/s \
-             (partition {partition_secs:.1}s, skew {skew:.2}, repl {replication_overhead:.2})"
-        );
-        shard_runs.push(ShardRun {
-            shards: n,
-            partition_secs,
-            skew,
-            replication_overhead,
-            cold_questions_per_sec,
-            batch_questions_per_sec,
-        });
-    }
-
     // Raw grounding against the mapped name section.
     let probe_names: Vec<String> = mapped
         .name_entries()
@@ -351,7 +251,6 @@ fn run_profile(
         serving_cold_questions_per_sec,
         serving_batch_questions_per_sec,
         grounding_lookups_per_sec,
-        shard_runs,
     }
 }
 
@@ -363,7 +262,6 @@ fn main() {
     let mut pairs = 2_000usize;
     let mut cold_parse = ColdParse::Auto;
     let mut budget_secs: Option<f64> = None;
-    let mut shard_counts: Vec<usize> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -395,24 +293,11 @@ fn main() {
                 i += 1;
                 budget_secs = args.get(i).and_then(|s| s.parse().ok());
             }
-            "--shards" => {
-                i += 1;
-                shard_counts = args
-                    .get(i)
-                    .map(|s| {
-                        s.split(',')
-                            .filter_map(|n| n.trim().parse().ok())
-                            .filter(|&n| n >= 1)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-            }
             other => {
                 eprintln!(
                     "[bigworld] unknown argument: {other}\n\
                      usage: bigworld [--profiles large,mega] [--questions N] [--pairs N] \
-                     [--out PATH] [--cold-parse auto|on|off] [--budget-secs S] \
-                     [--shards 1,2,4,8]"
+                     [--out PATH] [--cold-parse auto|on|off] [--budget-secs S]"
                 );
                 std::process::exit(2);
             }
@@ -422,12 +307,7 @@ fn main() {
 
     let started = Instant::now();
     let mut report = Report {
-        pr: if shard_counts.is_empty() {
-            "PR6"
-        } else {
-            "PR8"
-        }
-        .to_owned(),
+        pr: "PR6".to_owned(),
         profiles: Vec::new(),
     };
     for name in profiles.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -444,14 +324,9 @@ fn main() {
             ColdParse::On => true,
             ColdParse::Off => false,
         };
-        report.profiles.push(run_profile(
-            tag,
-            config,
-            questions,
-            pairs,
-            do_cold,
-            &shard_counts,
-        ));
+        report
+            .profiles
+            .push(run_profile(tag, config, questions, pairs, do_cold));
     }
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

@@ -4,7 +4,7 @@
 //! ```text
 //! hotpath [--scale quick|full] [--questions N] [--out PATH]
 //!         [--baseline PATH] [--tolerance F] [--stages] [--folded PATH]
-//!         [--shards N] [--server] [--server-tolerance F]
+//!         [--server] [--server-tolerance F]
 //! ```
 //!
 //! Builds the standard KBA-like session, drives the question set through
@@ -27,15 +27,6 @@
 //! on both sides. `--folded PATH` additionally dumps the table as folded
 //! stacks (`kbqa;<stage> <total_us>`), the input format flamegraph
 //! renderers like inferno consume.
-//!
-//! # Sharded serving (`--shards N`, PR 8)
-//!
-//! `--shards N` (N > 1) partitions the session store through a
-//! [`kbqa_core::ShardPlan`] and runs the serving, batch, and HTTP passes
-//! through the scatter-gather router, so the report records the sharded
-//! figures for this machine. `--shards 1` (the default) is **exactly** the
-//! pre-PR 8 single-store path — no router on the hot path — which is why
-//! the CI gate pins its baseline through `--shards 1`.
 //!
 //! # The server-in-the-loop gate (`--server`, PR 10)
 //!
@@ -164,11 +155,6 @@ struct Report {
     /// request itself — which is exactly why tracing samples by default.
     #[serde(default)]
     tracing_overhead_armed_pct: f64,
-    /// Shard count the serving/batch/server passes ran under (`--shards`);
-    /// 0 or 1 in reports that predate (or don't use) sharding — both mean
-    /// the plain single-store path.
-    #[serde(default)]
-    shards: usize,
 }
 
 /// The serving default for `KBQA_TRACE_SAMPLE_EVERY` (keep in sync with
@@ -480,7 +466,6 @@ fn main() {
     let mut tolerance = 0.85f64;
     let mut stages = false;
     let mut folded: Option<String> = None;
-    let mut shards = 1usize;
     let mut server_gate = false;
     let mut server_tolerance = 0.80f64;
     let mut i = 0;
@@ -495,7 +480,7 @@ fn main() {
                         eprintln!(
                             "usage: hotpath [--scale quick|full] [--questions N] [--out PATH] \
                              [--baseline PATH] [--tolerance F] [--stages] [--folded PATH] \
-                             [--shards N] [--server] [--server-tolerance F]"
+                             [--server] [--server-tolerance F]"
                         );
                         std::process::exit(2);
                     });
@@ -523,10 +508,6 @@ fn main() {
                 server_tolerance = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0.80);
                 server_gate = true; // a tolerance implies the gate
             }
-            "--shards" => {
-                i += 1;
-                shards = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(1);
-            }
             "--folded" => {
                 i += 1;
                 folded = args.get(i).cloned();
@@ -550,25 +531,12 @@ fn main() {
         .map(|p| p.question.clone())
         .collect();
     let tokenized: Vec<_> = questions.iter().map(|q| tokenize(q)).collect();
-    // `--shards N` (N > 1): partition the store and route the serving,
-    // batch, and server passes through the scatter-gather router. At 1 the
-    // service and engine below are exactly the pre-PR 8 single-store path.
-    let sharded_service = (shards > 1).then(|| {
-        eprintln!("[hotpath] partitioning into {shards} shards…");
-        session
-            .service()
-            .with_shards(kbqa_core::ShardPlan::new(shards))
-    });
-    let mut engine = QaEngine::with_shared(
+    let engine = QaEngine::with_shared(
         &session.world.store,
         &session.world.conceptualizer,
         &session.model,
         session.service().ner(),
     );
-    if let Some(router) = sharded_service.as_ref().and_then(|s| s.shard_router()) {
-        engine = engine.with_shards(router);
-    }
-    let engine = engine;
     let rounds = 5usize;
 
     // Warmup passes (also validates both kernels agree on answerability).
@@ -632,9 +600,7 @@ fn main() {
 
     // Batch fan-out throughput over the whole set.
     let requests: Vec<QaRequest> = questions.iter().map(QaRequest::new).collect();
-    let service = sharded_service
-        .as_ref()
-        .unwrap_or_else(|| session.service());
+    let service = session.service();
     let _ = std::hint::black_box(service.answer_batch(&requests)); // warmup
     let start = Instant::now();
     for _ in 0..rounds {
@@ -673,7 +639,6 @@ fn main() {
         world: format!("KBA-like ({scale:?})"),
         questions: tokenized.len(),
         rounds,
-        shards,
         speedup_cold: reference_total / serving_total.max(1e-12),
         speedup_one_shot: reference_total / one_shot_total.max(1e-12),
         batch_questions_per_sec: batch_qps,
@@ -707,11 +672,7 @@ fn main() {
         report.profiles[2].questions_per_sec,
         report.speedup_one_shot
     );
-    if shards > 1 {
-        println!("batch ({shards} shards, scatter-gather): {batch_qps:.0} q/s");
-    } else {
-        println!("batch: {batch_qps:.0} q/s");
-    }
+    println!("batch: {batch_qps:.0} q/s");
     println!(
         "server (epoll, 8 keep-alive clients): cold {server_cold_qps:.0} q/s, \
          cached {server_cached_qps:.0} q/s"

@@ -52,11 +52,13 @@
 //!
 //! # Sharded bundles (PR 8)
 //!
-//! A service built with a [`ShardPlan`] persists each
-//! shard as its own snapshot (`store.shard-{i}.snap`) next to the global
-//! `store.snap`; the manifest records the plan and the cut's balance stats.
-//! Warm start then maps N+1 files and rebuilds only the shards' in-memory
-//! adjacency indexes — no re-partitioning.
+//! Saving is the one place the store is partitioned. A bundle whose
+//! [`ServingArtifacts::shard_plan`] is set is cut per that [`ShardPlan`]
+//! at save time, and each shard is written as its own snapshot
+//! (`store.shard-{i}.snap`) next to the global `store.snap`; the manifest
+//! records the plan and the cut's balance stats. Loading reads the plan
+//! back (validated: see [`load_shard_manifest`]) but maps no shard file —
+//! the `kbqa-shardd` workers map those, one each.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -72,12 +74,11 @@ use kbqa_nlp::GazetteerNer;
 use kbqa_rdf::{Snapshot, TripleStore};
 use kbqa_taxonomy::Conceptualizer;
 
-use kbqa_rdf::shard::{ShardPlan, ShardStats};
+use kbqa_rdf::shard::{partition, ShardPlan, ShardStats};
 
 use crate::decompose::PatternIndex;
 use crate::learner::LearnedModel;
 use crate::service::KbqaService;
-use crate::shard::ShardRouter;
 
 /// Suffix of the checksum sidecar written next to every artifact.
 pub const CHECKSUM_SUFFIX: &str = ".fxsum";
@@ -260,10 +261,22 @@ struct BundleManifest {
     shard_stats: Option<ShardStats>,
 }
 
+/// Decode a bundle manifest. The one decode path for manifests: a shard
+/// plan is validated here ([`ShardPlan::validate`]), because the derived
+/// deserializer bypasses the clamps [`ShardPlan::new`] applies.
+fn read_manifest(path: &Path) -> Result<BundleManifest> {
+    let manifest: BundleManifest = load_json(path)?;
+    if let Some(plan) = &manifest.shard_plan {
+        plan.validate()?;
+    }
+    Ok(manifest)
+}
+
 /// Read just the shard plan (and cut stats) out of a bundle's manifest —
 /// what the server's supervisor needs to spawn one worker per shard
 /// without mapping any snapshot itself. Returns `Ok(None)` for an
-/// unsharded bundle or a pre-manifest directory. Verifies each listed
+/// unsharded bundle or a pre-manifest directory, and a typed error for a
+/// plan [`ShardPlan::new`] would never build. Verifies each listed
 /// `store.shard-{i}.snap` exists (the workers will map them) but leaves
 /// digest checking to the workers' own snapshot/sidecar validation.
 pub fn load_shard_manifest(dir: &Path) -> Result<Option<(ShardPlan, ShardStats)>> {
@@ -271,7 +284,7 @@ pub fn load_shard_manifest(dir: &Path) -> Result<Option<(ShardPlan, ShardStats)>
     if !manifest_path.exists() {
         return Ok(None);
     }
-    let manifest: BundleManifest = load_json(&manifest_path)?;
+    let manifest = read_manifest(&manifest_path)?;
     let Some(plan) = manifest.shard_plan else {
         return Ok(None);
     };
@@ -305,9 +318,12 @@ pub struct ServingArtifacts {
     pub ner: Option<Arc<GazetteerNer>>,
     /// The corpus pattern index, when persisted.
     pub pattern_index: Option<Arc<PatternIndex>>,
-    /// The shard router, when the service serves sharded (persisted as one
-    /// snapshot per shard).
-    pub shards: Option<Arc<ShardRouter>>,
+    /// The shard plan. When set, [`ServingArtifacts::save`] partitions the
+    /// store per the plan and writes one snapshot per shard for the
+    /// `kbqa-shardd` workers; [`ServingArtifacts::load`] reads it back from
+    /// the manifest. The service built by
+    /// [`ServingArtifacts::into_service`] ignores it.
+    pub shard_plan: Option<ShardPlan>,
 }
 
 impl ServingArtifacts {
@@ -320,22 +336,16 @@ impl ServingArtifacts {
             model: service.model(),
             ner: Some(service.ner_shared()),
             pattern_index: service.pattern_index_shared(),
-            // A degenerate (1-shard) router carries no stores — nothing to
-            // persist; warm start re-attaches it from KBQA_SHARDS=1 alone.
-            // A remote router's stores live in its worker processes: the
-            // bundle they were spawned from already holds the shard
-            // snapshots, so persisting from this side would record a plan
-            // with no files.
-            shards: service
-                .shard_router()
-                .filter(|r| !r.is_degenerate() && r.is_local())
-                .map(Arc::clone),
+            // Unsharded: a worker router's shard files belong to the bundle
+            // its workers were spawned from. Set `shard_plan` to cut one.
+            shard_plan: None,
         }
     }
 
     /// Write every artifact into `dir` (created if missing): `store.snap`,
     /// `taxonomy.json`, `model.json`, and — when present — `ner.json`,
-    /// `patterns.json` and one `store.shard-{i}.snap` per shard. The
+    /// `patterns.json` and — with a [`ServingArtifacts::shard_plan`] — one
+    /// `store.shard-{i}.snap` per shard of the store cut per that plan. The
     /// bundle manifest (file → digest, plus the shard plan) is written
     /// **last**, so a manifest's presence implies a complete save.
     pub fn save(&self, dir: &Path) -> Result<()> {
@@ -365,25 +375,20 @@ impl ServingArtifacts {
                 save_json(index.as_ref(), &dir.join(PATTERNS_FILE))?,
             );
         }
-        let mut shard_plan = None;
         let mut shard_stats = None;
-        if let Some(router) = self
-            .shards
-            .as_deref()
-            .filter(|r| !r.is_degenerate() && r.is_local())
-        {
-            for (i, store) in router.stores().iter().enumerate() {
+        if let Some(plan) = &self.shard_plan {
+            let (stores, stats) = partition(&self.store, plan);
+            for (i, store) in stores.iter().enumerate() {
                 let name = shard_store_file(i);
                 files.insert(name.clone(), save_store(store, &dir.join(name))?);
             }
-            shard_plan = Some(*router.plan());
-            shard_stats = Some(router.stats().clone());
+            shard_stats = Some(stats);
         }
         save_json(
             &BundleManifest {
                 version: 1,
                 files,
-                shard_plan,
+                shard_plan: self.shard_plan,
                 shard_stats,
             },
             &dir.join(MANIFEST_FILE),
@@ -403,12 +408,13 @@ impl ServingArtifacts {
     /// refused with a typed error. Pre-manifest directories load under the
     /// per-file rules only.
     ///
-    /// Sharded bundles map one snapshot per shard and rebuild each shard's
-    /// in-memory adjacency index — no re-partitioning.
+    /// A sharded bundle's plan is read back from the manifest (and
+    /// validated); its shard snapshots are checked against the manifest
+    /// like every other file but not mapped — the workers map them.
     pub fn load(dir: &Path) -> Result<Self> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let manifest: Option<BundleManifest> = if manifest_path.exists() {
-            let manifest: BundleManifest = load_json(&manifest_path)?;
+            let manifest = read_manifest(&manifest_path)?;
             for (name, expected) in &manifest.files {
                 let path = dir.join(name);
                 let bytes = std::fs::read(&path).map_err(|e| {
@@ -438,22 +444,6 @@ impl ServingArtifacts {
         } else {
             load_store_json(&dir.join(LEGACY_STORE_FILE))?
         };
-        let shards = match manifest.as_ref().and_then(|m| m.shard_plan) {
-            Some(plan) => {
-                let mut stores = Vec::with_capacity(plan.shards());
-                for i in 0..plan.shards() {
-                    let mut shard = load_store(&dir.join(shard_store_file(i)))?;
-                    shard.build_adjacency_index();
-                    stores.push(Arc::new(shard));
-                }
-                let stats = manifest
-                    .as_ref()
-                    .and_then(|m| m.shard_stats.clone())
-                    .unwrap_or_default();
-                Some(Arc::new(ShardRouter::from_stores(plan, stores, stats)))
-            }
-            None => None,
-        };
         Ok(Self {
             store: Arc::new(store),
             conceptualizer: Arc::new(load_taxonomy(&dir.join(TAXONOMY_FILE))?),
@@ -468,7 +458,7 @@ impl ServingArtifacts {
             } else {
                 None
             },
-            shards,
+            shard_plan: manifest.and_then(|m| m.shard_plan),
         })
     }
 
@@ -482,7 +472,8 @@ impl ServingArtifacts {
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
     /// start path. Derives the NER from the store only when the bundle
-    /// carries none.
+    /// carries none. The shard plan is ignored: serving sharded means
+    /// attaching a worker router (the server's supervisor does).
     pub fn into_service(self) -> KbqaService {
         self.into_service_at_epoch(0)
     }
@@ -501,9 +492,6 @@ impl ServingArtifacts {
         }
         if let Some(index) = self.pattern_index {
             builder = builder.pattern_index(index);
-        }
-        if let Some(router) = self.shards {
-            builder = builder.shard_router(router);
         }
         builder.build()
     }
@@ -653,9 +641,9 @@ mod tests {
         );
     }
 
-    /// A tiny learned service for bundle tests, optionally sharded, plus a
-    /// handful of corpus questions it can actually answer.
-    fn learned_service(seed: u64, plan: Option<ShardPlan>) -> (KbqaService, Vec<String>) {
+    /// A tiny learned service for bundle tests, plus a handful of corpus
+    /// questions it can actually answer.
+    fn learned_service(seed: u64) -> (KbqaService, Vec<String>) {
         let world = World::generate(WorldConfig::tiny(seed));
         let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 400));
         let ner = std::sync::Arc::new(GazetteerNer::from_store(&world.store));
@@ -671,53 +659,106 @@ mod tests {
             .map(|p| (p.question.as_str(), p.answer.as_str()))
             .collect();
         let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
-        let mut builder = KbqaService::builder(
+        let service = KbqaService::builder(
             std::sync::Arc::clone(&world.store),
             std::sync::Arc::clone(&world.conceptualizer),
             std::sync::Arc::new(model),
         )
-        .ner(ner);
-        if let Some(plan) = plan {
-            builder = builder.shards(plan);
-        }
+        .ner(ner)
+        .build();
         let questions = corpus
             .pairs
             .iter()
             .take(8)
             .map(|p| p.question.clone())
             .collect();
-        (builder.build(), questions)
+        (service, questions)
+    }
+
+    /// Save `service` as a bundle cut into `shards` shards.
+    fn save_sharded(service: &KbqaService, dir: &Path, shards: usize) {
+        let mut artifacts = ServingArtifacts::from_service(service);
+        artifacts.shard_plan = Some(ShardPlan::new(shards));
+        artifacts.save(dir).expect("save sharded bundle");
     }
 
     #[test]
     fn sharded_bundle_roundtrips_per_shard_snapshots() {
-        let (service, questions) = learned_service(47, Some(ShardPlan::new(3)));
+        let (service, questions) = learned_service(47);
         let dir = unique_temp_dir("sharded");
-        ServingArtifacts::from_service(&service)
-            .save(&dir)
-            .expect("save sharded bundle");
-        for i in 0..3 {
-            assert!(dir.join(shard_store_file(i)).exists(), "shard {i} snap");
-        }
+        save_sharded(&service, &dir, 3);
         assert!(dir.join(MANIFEST_FILE).exists(), "manifest written");
 
+        let (plan, stats) = load_shard_manifest(&dir)
+            .expect("read manifest")
+            .expect("bundle is sharded");
+        assert_eq!(plan, ShardPlan::new(3));
+        assert_eq!(stats.shards.len(), 3);
+        let mut owned = 0;
+        for i in 0..3 {
+            let shard = load_store(&dir.join(shard_store_file(i))).expect("shard snapshot opens");
+            owned += stats.shards[i].owned_triples;
+            assert_eq!(
+                shard.len() as u64,
+                stats.shards[i].total_triples(),
+                "shard {i}"
+            );
+        }
+        assert_eq!(
+            owned,
+            service.store().len() as u64,
+            "the cut owns every triple once"
+        );
+
         let restored = ServingArtifacts::load(&dir).expect("load sharded bundle");
-        let router = restored.shards.as_ref().expect("router restored");
-        assert_eq!(router.shard_count(), 3);
-        assert_eq!(router.plan(), &ShardPlan::new(3));
-        assert!(
-            router.stores().iter().all(|s| s.has_adjacency_index()),
-            "shard adjacency indexes rebuilt on warm start"
+        assert_eq!(
+            restored.shard_plan,
+            Some(ShardPlan::new(3)),
+            "plan round-trips"
         );
         let restored = restored.into_service();
         std::fs::remove_dir_all(&dir).ok();
-        assert!(restored.shard_router().is_some(), "service serves sharded");
+        assert!(restored.shard_router().is_none(), "load maps no shard");
         for q in &questions {
             assert_eq!(
                 serde_json::to_string(&service.answer_text(q)).unwrap(),
                 serde_json::to_string(&restored.answer_text(q)).unwrap(),
-                "warm-started sharded service must answer {q:?} identically"
+                "warm-started service must answer {q:?} identically"
             );
+        }
+    }
+
+    #[test]
+    fn manifest_plans_new_would_never_build_are_typed_errors() {
+        let (service, _) = learned_service(50);
+        let good = r#""shard_plan":{"shards":2,"closure_depth":3}"#;
+        let bad = [
+            r#""shard_plan":{"shards":0,"closure_depth":3}"#,
+            r#""shard_plan":{"shards":65,"closure_depth":3}"#,
+            r#""shard_plan":{"shards":1000,"closure_depth":3}"#,
+            r#""shard_plan":{"shards":2,"closure_depth":0}"#,
+        ];
+        for (n, plan) in bad.iter().enumerate() {
+            let dir = unique_temp_dir(&format!("bad-plan-{n}"));
+            save_sharded(&service, &dir, 2);
+            // Hand-edit the plan; drop the sidecar so only the plan is wrong.
+            let path = dir.join(MANIFEST_FILE);
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.contains(good), "manifest layout changed: {text}");
+            std::fs::write(&path, text.replace(good, plan)).unwrap();
+            std::fs::remove_file(checksum_path(&path)).unwrap();
+
+            match load_shard_manifest(&dir) {
+                Err(KbqaError::InvalidConfig(why)) => assert!(why.contains("shard plan"), "{why}"),
+                Err(other) => panic!("{plan}: wrong error {other}"),
+                Ok(_) => panic!("{plan}: load_shard_manifest accepted it"),
+            }
+            match ServingArtifacts::load(&dir) {
+                Err(KbqaError::InvalidConfig(why)) => assert!(why.contains("shard plan"), "{why}"),
+                Err(other) => panic!("{plan}: wrong error {other}"),
+                Ok(_) => panic!("{plan}: ServingArtifacts::load accepted it"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -726,7 +767,7 @@ mod tests {
         // The satellite bug: every file individually passes its own .fxsum
         // sidecar, but the files come from *different saves* — store from
         // save N, model from save N+1. Pre-manifest loads accepted this.
-        let (service, _) = learned_service(48, None);
+        let (service, _) = learned_service(48);
         let dir = unique_temp_dir("crossmix");
         ServingArtifacts::from_service(&service)
             .save(&dir)
@@ -758,7 +799,7 @@ mod tests {
 
     #[test]
     fn bundle_without_manifest_still_loads() {
-        let (service, _) = learned_service(49, None);
+        let (service, _) = learned_service(49);
         let dir = unique_temp_dir("bundle-no-manifest");
         ServingArtifacts::from_service(&service)
             .save(&dir)
@@ -767,7 +808,7 @@ mod tests {
         std::fs::remove_file(&manifest).unwrap();
         std::fs::remove_file(checksum_path(&manifest)).unwrap();
         let restored = ServingArtifacts::load(&dir).expect("pre-manifest bundle loads");
-        assert!(restored.shards.is_none());
+        assert!(restored.shard_plan.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,10 +18,10 @@
 //!
 //! When the budget is exhausted the error propagates as
 //! [`RemoteError`]; the router converts it into the same typed
-//! [`ShardPanic`](crate::shard::ShardPanic) unwind the in-process poison
-//! flag uses, so the service-layer isolation (catch at the request
-//! boundary → [`Refusal::ShardUnavailable`](crate::service::Refusal))
-//! is identical for both deployment shapes.
+//! [`ShardPanic`](crate::shard::ShardPanic) unwind its poison flag uses,
+//! so the service-layer isolation (catch at the request boundary →
+//! [`Refusal::ShardUnavailable`](crate::service::Refusal)) is identical
+//! for a dead worker and a parked lane.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};

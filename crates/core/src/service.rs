@@ -39,6 +39,17 @@
 //! invalidates every stale entry by construction, with no stop-the-world
 //! flush.
 //!
+//! # Sharded serving
+//!
+//! A service answers from its own store unless a [`ShardRouter`] over
+//! `kbqa-shardd` worker lanes is attached with
+//! [`KbqaService::with_shard_router`] (the server does this when it
+//! supervises a worker fleet). Then every `V(e, p)` value lookup goes to the
+//! owning shard's worker; grounding and ranking stay here, so answers are
+//! byte-identical to the unsharded service. Single answers and batches take
+//! the same path, and a question whose shard is down is refused with
+//! [`Refusal::ShardUnavailable`] instead of failing the batch.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -89,7 +100,6 @@ use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::GazetteerNer;
 use kbqa_obs::{Observability, StageBreakdown};
-use kbqa_rdf::shard::ShardPlan;
 use kbqa_rdf::TripleStore;
 use kbqa_taxonomy::Conceptualizer;
 
@@ -110,16 +120,6 @@ thread_local! {
 /// Run `f` with this thread's reusable engine scratch.
 fn with_engine_scratch<R>(f: impl FnOnce(&mut ScratchSpace) -> R) -> R {
     ENGINE_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-}
-
-/// Stable worker-lane affinity for a batch request: a deterministic hash of
-/// the raw question bytes, so repeated questions always land on the same
-/// scatter-gather lane (warm per-lane value caches) without allocating.
-fn question_affinity(request: &QaRequest) -> u64 {
-    use std::hash::Hasher as _;
-    let mut h = kbqa_common::hash::FxHasher::default();
-    h.write(request.question.as_bytes());
-    h.finish()
 }
 
 /// A hot-swappable model slot, shared by every clone of a [`KbqaService`].
@@ -489,8 +489,6 @@ pub struct KbqaServiceBuilder {
     pattern_index: Option<Arc<PatternIndex>>,
     config: EngineConfig,
     obs: Option<Arc<Observability>>,
-    shard_plan: Option<ShardPlan>,
-    shard_router: Option<Arc<ShardRouter>>,
     model_epoch: u64,
 }
 
@@ -532,34 +530,12 @@ impl KbqaServiceBuilder {
         self
     }
 
-    /// Shard the service per `plan`: the store is partitioned at build
-    /// time and requests route value lookups through a
-    /// [`ShardRouter`]. A 1-shard plan builds the degenerate router (the
-    /// plain single-store path, with shard telemetry attached).
-    pub fn shards(mut self, plan: ShardPlan) -> Self {
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Use a pre-built shard router (the persist warm-start path: per-shard
-    /// snapshots map straight in, no re-partitioning). Takes precedence
-    /// over [`KbqaServiceBuilder::shards`].
-    pub fn shard_router(mut self, router: Arc<ShardRouter>) -> Self {
-        self.shard_router = Some(router);
-        self
-    }
-
     /// Build the service. Derives the NER gazetteer from the store if none
-    /// was supplied — this is the one expensive step, paid once — and
-    /// partitions the store if a shard plan was requested.
+    /// was supplied — this is the one expensive step, paid once.
     pub fn build(self) -> KbqaService {
         let ner = self
             .ner
             .unwrap_or_else(|| Arc::new(GazetteerNer::from_store(&self.store)));
-        let shards = self.shard_router.or_else(|| {
-            self.shard_plan
-                .map(|plan| Arc::new(ShardRouter::from_store(&self.store, plan)))
-        });
         KbqaService {
             store: self.store,
             conceptualizer: self.conceptualizer,
@@ -568,7 +544,7 @@ impl KbqaServiceBuilder {
             pattern_index: self.pattern_index,
             config: self.config,
             obs: self.obs,
-            shards,
+            shards: None,
         }
     }
 }
@@ -621,17 +597,12 @@ impl ServiceSnapshot {
         if let Some(index) = self.pattern_index.as_deref() {
             engine = engine.with_pattern_index_ref(index);
         }
-        if let Some(router) = self.router() {
+        if let Some(router) = self.shards.as_deref() {
             engine = engine
-                .with_shards(router)
+                .with_shard_router(router)
                 .with_shard_epoch(self.model_epoch);
         }
         engine
-    }
-
-    /// The non-degenerate shard router, when this snapshot serves sharded.
-    fn router(&self) -> Option<&ShardRouter> {
-        self.shards.as_deref().filter(|r| !r.is_degenerate())
     }
 
     /// The versioned cache key for `request`: the snapshot's model epoch
@@ -680,11 +651,6 @@ impl ServiceSnapshot {
     /// wall-clock parallelism. The whole batch answers under one model
     /// epoch.
     pub fn answer_batch(&self, requests: &[QaRequest]) -> Vec<QaResponse> {
-        if requests.len() > 1 {
-            if let Some(router) = self.router() {
-                return self.answer_batch_sharded(router, requests);
-            }
-        }
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -733,59 +699,6 @@ impl ServiceSnapshot {
         self.answer_with(engine, request, scratch).0
     }
 
-    /// The scatter-gather batch path: one worker (thread + engine +
-    /// scratch) per shard, questions assigned to workers by stable
-    /// question hash so repeated questions keep lane affinity, per-shard
-    /// queue depths surfaced on the router's telemetry lanes. Responses
-    /// come back in request order; the whole batch answers under this one
-    /// snapshot, so no batch ever straddles mixed model epochs.
-    fn answer_batch_sharded(
-        &self,
-        router: &ShardRouter,
-        requests: &[QaRequest],
-    ) -> Vec<QaResponse> {
-        let workers = router.shard_count().min(requests.len()).min(16);
-        let mut assign: Vec<Vec<u32>> = vec![Vec::new(); workers];
-        for (i, request) in requests.iter().enumerate() {
-            let lane = (question_affinity(request) % workers as u64) as usize;
-            assign[lane].push(i as u32);
-        }
-        for (lane, idxs) in assign.iter().enumerate() {
-            router.obs().lane(lane).enqueue(idxs.len() as u64);
-        }
-        let mut out: Vec<Option<QaResponse>> = Vec::with_capacity(requests.len());
-        out.resize_with(requests.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = assign
-                .iter()
-                .enumerate()
-                .filter(|(_, idxs)| !idxs.is_empty())
-                .map(|(lane, idxs)| {
-                    scope.spawn(move || {
-                        with_engine_scratch(|scratch| {
-                            let engine = self.engine();
-                            idxs.iter()
-                                .map(|&i| {
-                                    let resp = self.stamp(&engine, &requests[i as usize], scratch);
-                                    router.obs().lane(lane).dequeue(1);
-                                    (i, resp)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, resp) in handle.join().expect("shard batch worker panicked") {
-                    out[i as usize] = Some(resp);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("every request index answered"))
-            .collect()
-    }
-
     /// The one place a request actually runs: arm the scratch tracer when
     /// this request should be traced, answer, then drain stage timings into
     /// the sink's histograms. Stage timings attach to the response only for
@@ -802,7 +715,7 @@ impl ServiceSnapshot {
             None => false,
         };
         scratch.trace.begin(trace_this);
-        let mut response = match self.router() {
+        let mut response = match self.shards.as_deref() {
             None => engine.answer_request_with(request, scratch),
             Some(router) => self.answer_sharded(router, engine, request, scratch),
         };
@@ -810,7 +723,7 @@ impl ServiceSnapshot {
             .obs
             .as_ref()
             .and_then(|obs| scratch.trace.finish(obs.stats()));
-        if let (Some(router), Some(bd)) = (self.router(), breakdown.as_ref()) {
+        if let (Some(router), Some(bd)) = (self.shards.as_deref(), breakdown.as_ref()) {
             // Per-shard stage histograms: the whole-question breakdown is
             // attributed to the primary shard (the first one a lookup
             // routed to).
@@ -903,8 +816,6 @@ impl KbqaService {
             pattern_index: None,
             config: EngineConfig::default(),
             obs: None,
-            shard_plan: None,
-            shard_router: None,
             model_epoch: 0,
         }
     }
@@ -918,32 +829,6 @@ impl KbqaService {
         Self::builder(store, conceptualizer, model).build()
     }
 
-    /// A sharded service: the store is partitioned per `plan` at build time
-    /// and every request's value lookups scatter-gather through the
-    /// resulting [`ShardRouter`]. Answers are byte-identical to
-    /// [`KbqaService::new`] — sharding changes *where* lookups read, never
-    /// what the kernel computes (`tests/shard_equivalence.rs` pins this).
-    pub fn sharded(
-        plan: ShardPlan,
-        store: Arc<TripleStore>,
-        conceptualizer: Arc<Conceptualizer>,
-        model: Arc<LearnedModel>,
-    ) -> Self {
-        Self::builder(store, conceptualizer, model)
-            .shards(plan)
-            .build()
-    }
-
-    /// A sibling service re-sharded per `plan` over the same substrate
-    /// (store, taxonomy, NER, pattern index, shared [`ModelHandle`]).
-    /// Re-partitions the current store; the original keeps its own router.
-    pub fn with_shards(&self, plan: ShardPlan) -> Self {
-        Self {
-            shards: Some(Arc::new(ShardRouter::from_store(&self.store, plan))),
-            ..self.clone()
-        }
-    }
-
     /// A sibling service scatter-gathering through `router` — how the
     /// server attaches the remote (multi-process worker) router built by
     /// its supervisor over the same substrate. Shares the [`ModelHandle`]
@@ -955,8 +840,8 @@ impl KbqaService {
         }
     }
 
-    /// The shard router, when this service was built sharded (includes the
-    /// degenerate 1-shard router, which carries telemetry but no stores).
+    /// The shard router, when one is attached (see
+    /// [`KbqaService::with_shard_router`]).
     pub fn shard_router(&self) -> Option<&Arc<ShardRouter>> {
         self.shards.as_ref()
     }

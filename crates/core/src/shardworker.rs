@@ -1,17 +1,18 @@
 //! The `kbqa-shardd` worker: one shard, one process, one socket.
 //!
 //! A worker owns exactly one shard of the plan. It maps the shard's
-//! snapshot (`store.shard-{i}.snap`) read-only — the same zero-copy warm
-//! start the in-process router uses — rebuilds the in-memory adjacency
+//! snapshot (`store.shard-{i}.snap`, cut by
+//! [`ServingArtifacts::save`](crate::persist::ServingArtifacts::save))
+//! read-only — a zero-copy warm start — rebuilds the in-memory adjacency
 //! index, binds a unix-domain socket, and serves the
 //! [`wire`](crate::wire) protocol with a thread per connection:
 //!
 //! * **`Lookup`** runs `V(entity, path)` against the committed store and
-//!   replies with the values in shard-traversal order. Because the worker
-//!   executes the *same* `objects_via_path_into` over the *same* snapshot
-//!   bytes with the *same* global id space as an in-process shard store,
-//!   the scatter-gather merge stays byte-identical across deployment
-//!   shapes — chaos tests pin this.
+//!   replies with the values in shard-traversal order. Whole-subject
+//!   ownership plus the replicated closure make that the same value list
+//!   the global store yields, in the same global id space, so the
+//!   scatter-gather merge is byte-identical to the unsharded kernel —
+//!   `tests/shard_equivalence.rs` and the chaos suite pin this.
 //! * **`Ping`** answers with the committed epoch and lookups served.
 //! * **`Stage`/`Commit`** implement the two-phase reload: stage preloads
 //!   a snapshot for epoch N+1 without serving it; commit flips it live

@@ -84,6 +84,26 @@ impl ShardPlan {
         self.closure_depth
     }
 
+    /// Check the invariants [`ShardPlan::new`] and
+    /// [`ShardPlan::with_closure_depth`] establish: `1..=`[`MAX_SHARDS`]
+    /// shards (ownership is `% shards`, fan-out a `u64` bitmask) and a
+    /// closure depth of at least 1. A plan decoded from bytes — a bundle
+    /// manifest — bypasses those clamps and must pass this before use.
+    pub fn validate(&self) -> kbqa_common::error::Result<()> {
+        if !(1..=MAX_SHARDS).contains(&self.shards) {
+            return Err(kbqa_common::error::KbqaError::InvalidConfig(format!(
+                "shard plan has {} shards; expected 1..={MAX_SHARDS}",
+                self.shards
+            )));
+        }
+        if self.closure_depth == 0 {
+            return Err(kbqa_common::error::KbqaError::InvalidConfig(
+                "shard plan has closure depth 0; expected at least 1".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
     /// The shard owning `node`. A splitmix64 finalizer over the raw id —
     /// dictionary ids are dense and insertion-ordered, so taking them mod N
     /// directly would alias generation order into shard skew.
@@ -128,7 +148,8 @@ impl ShardStat {
 }
 
 /// Shard-local statistics of a full cut — the balance/replication report
-/// operators read when sizing `KBQA_SHARDS`.
+/// operators read from a sharded bundle's manifest when sizing a worker
+/// fleet.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Per-shard breakdown, indexed by shard id.
@@ -292,6 +313,30 @@ mod tests {
         let n = NodeId::new(17);
         assert_eq!(plan.owner(n), plan.owner(n));
         assert!(plan.owner(n) < 4);
+    }
+
+    #[test]
+    fn validate_accepts_built_plans_and_rejects_decoded_outliers() {
+        for n in [0, 1, 7, MAX_SHARDS, 1000] {
+            ShardPlan::new(n).validate().expect("built plans are valid");
+        }
+        ShardPlan::new(3)
+            .with_closure_depth(0)
+            .validate()
+            .expect("clamped depth is valid");
+        for (shards, closure_depth) in [(0, 3), (MAX_SHARDS + 1, 3), (2, 0)] {
+            let plan = ShardPlan {
+                shards,
+                closure_depth,
+            };
+            assert!(
+                matches!(
+                    plan.validate(),
+                    Err(kbqa_common::error::KbqaError::InvalidConfig(_))
+                ),
+                "{plan:?} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -163,17 +163,11 @@ pub struct ServerConfig {
     /// Slots in the slow-query log served at `GET /debug/slow` (clamped to
     /// ≥ 1).
     pub slow_log_capacity: usize,
-    /// Shard the serving store N ways at startup (`0` = leave the service
-    /// as built; `1` = the degenerate single-store router, carrying shard
-    /// telemetry on the plain path). Services that already carry a shard
-    /// router — e.g. warm-started from a sharded bundle — are left alone.
-    pub shards: usize,
-    /// Non-zero switches shard serving **out of process**: one supervised
-    /// `kbqa-shardd` worker per shard of the bundle's plan (the value only
-    /// enables the tier; the worker count always comes from the bundle
-    /// manifest). Requires [`ServerConfig::bundle_dir`]. Takes precedence
-    /// over [`ServerConfig::shards`]; services already carrying a router
-    /// are left alone.
+    /// Non-zero serves sharded: one supervised `kbqa-shardd` worker per
+    /// shard of the bundle's plan (the value only enables the tier; the
+    /// worker count always comes from the bundle manifest), and the
+    /// supervisor's router is attached to the service. Requires
+    /// [`ServerConfig::bundle_dir`]. `0` serves the service as given.
     pub shard_workers: usize,
     /// Directory of the serving bundle (`manifest.json` +
     /// `store.shard-{i}.snap`) the shard workers map. Required when
@@ -242,7 +236,6 @@ impl Default for ServerConfig {
             model_path: None,
             trace_sample_every: 16,
             slow_log_capacity: 16,
-            shards: 0,
             shard_workers: 0,
             bundle_dir: None,
             shardd_path: None,
@@ -279,7 +272,6 @@ impl ServerConfig {
     /// | `KBQA_MODEL_PATH`          | `model_path`         |
     /// | `KBQA_TRACE_SAMPLE_EVERY`  | `trace_sample_every` |
     /// | `KBQA_SLOW_LOG_CAPACITY`   | `slow_log_capacity`  |
-    /// | `KBQA_SHARDS`              | `shards`             |
     /// | `KBQA_SHARD_WORKERS`       | `shard_workers`      |
     /// | `KBQA_BUNDLE_DIR`          | `bundle_dir`         |
     /// | `KBQA_SHARDD_PATH`         | `shardd_path`        |
@@ -335,9 +327,6 @@ impl ServerConfig {
         }
         if let Some(v) = parsed("KBQA_SLOW_LOG_CAPACITY") {
             config.slow_log_capacity = v;
-        }
-        if let Some(v) = parsed("KBQA_SHARDS") {
-            config.shards = v;
         }
         if let Some(v) = parsed("KBQA_SHARD_WORKERS") {
             config.shard_workers = v;
@@ -656,19 +645,12 @@ pub fn serve(
         config.trace_sample_every,
     ));
     let service = service.with_observability(Arc::clone(&observability));
-    // Shard-serving topology, in precedence order: a router the service
-    // already carries (warm-started from a sharded bundle) wins; then
-    // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
-    // tier; then `KBQA_SHARDS` partitions in-process at startup.
-    let (service, supervisor) = if service.shard_router().is_some() {
-        (service, None)
-    } else if config.shard_workers > 0 {
+    // `KBQA_SHARD_WORKERS` spawns the supervised worker fleet and attaches
+    // its router; otherwise the service serves as given.
+    let (service, supervisor) = if config.shard_workers > 0 {
         let supervisor = Supervisor::start(config.supervisor_config()?, service.model_epoch())?;
         let service = service.with_shard_router(supervisor.router());
         (service, Some(supervisor))
-    } else if config.shards > 0 {
-        let service = service.with_shards(kbqa_core::ShardPlan::new(config.shards));
-        (service, None)
     } else {
         (service, None)
     };
@@ -2377,8 +2359,7 @@ fn reload_bundle(shared: &Shared) -> Response {
         .into_service_at_epoch(next_epoch)
         .with_observability(Arc::clone(&shared.state.observability));
     if let Some(supervisor) = supervisor.as_ref() {
-        // Out-of-process serving: lookups keep routing through the
-        // supervisor's remote router, not the bundle's in-process one.
+        // Lookups keep routing through the supervisor's router.
         service = service.with_shard_router(supervisor.router());
     }
     let store_triples = service.store().len();

@@ -57,7 +57,7 @@
 //!    stage/commit epoch swap across the fleet, and shutdown drains
 //!    requests then terminates workers gracefully. The whole envelope is
 //!    chaos-tested (`tests/chaos.rs`): kill -9, SIGSTOP, corrupt frames,
-//!    crash loops — byte-identical to in-process sharding when healthy.
+//!    crash loops — byte-identical to the unsharded service when healthy.
 //!
 //! # Routes
 //!

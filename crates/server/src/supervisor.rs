@@ -254,8 +254,8 @@ impl Supervisor {
             .map_err(|e| std::io::Error::other(format!("bundle manifest: {e}")))?
             .ok_or_else(|| {
                 std::io::Error::other(format!(
-                    "bundle at {} is not sharded (no shard plan in manifest); save it from a \
-                     sharded service or unset KBQA_SHARD_WORKERS",
+                    "bundle at {} is not sharded (no shard plan in manifest); save it with \
+                     `ServingArtifacts::shard_plan` set or unset KBQA_SHARD_WORKERS",
                     config.bundle_dir.display()
                 ))
             })?;

@@ -1,7 +1,7 @@
 //! Chaos suite for the multi-process shard-worker tier (PR 9).
 //!
 //! A healthy fleet of `kbqa-shardd` workers must be **byte-identical** to
-//! in-process sharding over the full 300+-question benchmark mix; an
+//! the unsharded service over the full 300+-question benchmark mix; an
 //! unhealthy one must degrade *typed* (every affected question answers
 //! `Refusal::ShardUnavailable` inside the lookup deadline, a batch never
 //! wedges) and recover to byte-identity once the supervisor restarts the
@@ -46,10 +46,8 @@ struct Fixture {
     world: World,
     corpus: QaCorpus,
     /// The unsharded service (global store; supervisors attach routers to
-    /// clones of this).
+    /// clones of this) — the byte-identity baseline.
     service: KbqaService,
-    /// The in-process sharded twin — the byte-identity baseline.
-    sharded: KbqaService,
     /// Bundle directory holding `manifest.json` + `store.shard-{i}.snap`.
     bundle: PathBuf,
 }
@@ -83,16 +81,14 @@ fn build_fixture() -> Fixture {
     )
     .ner(ner)
     .build();
-    let sharded = service.with_shards(ShardPlan::new(SHARDS));
     let bundle = chaos_root().join("bundle");
-    ServingArtifacts::from_service(&sharded)
-        .save(&bundle)
-        .expect("save sharded bundle");
+    let mut artifacts = ServingArtifacts::from_service(&service);
+    artifacts.shard_plan = Some(ShardPlan::new(SHARDS));
+    artifacts.save(&bundle).expect("save sharded bundle");
     Fixture {
         world,
         corpus,
         service,
-        sharded,
         bundle,
     }
 }
@@ -151,13 +147,13 @@ fn request_set(f: &Fixture) -> Vec<QaRequest> {
         .collect()
 }
 
-/// Baseline answers from the in-process sharded twin, serialized — the
+/// Baseline answers from the unsharded service, serialized — the
 /// byte-identity reference every chaos test compares against.
 fn baselines() -> &'static Vec<String> {
     static BASELINES: OnceLock<Vec<String>> = OnceLock::new();
     BASELINES.get_or_init(|| {
         let f = fixture();
-        f.sharded
+        f.service
             .answer_batch(&request_set(f))
             .iter()
             .map(|r| serde_json::to_string(r).expect("serialize baseline"))
@@ -260,13 +256,13 @@ fn assert_baseline_or_degraded(responses: &[QaResponse], expected: &[String]) ->
 // ---------------------------------------------------------------------------
 
 #[test]
-fn healthy_multi_process_fleet_is_byte_identical_to_in_process_sharding() {
+fn healthy_multi_process_fleet_is_byte_identical_to_the_unsharded_service() {
     let _guard = spawn_lock();
     let (supervisor, remote) = start_remote(fast_config("equivalence"));
     let requests = request_set(fixture());
     let expected = baselines();
 
-    // The batch path (the scatter-gather scheduler over remote lanes).
+    // The batch path.
     let batch = remote.answer_batch(&requests);
     assert_eq!(batch.len(), expected.len());
     for (i, response) in batch.iter().enumerate() {
@@ -502,26 +498,6 @@ fn extract_pids(body: &str) -> Vec<u32> {
     pids
 }
 
-/// A fresh service rebuilt from the bundle's artifacts **without** the
-/// local shard router — serve() must attach the supervised remote tier.
-/// Fresh model handle too: HTTP reload tests swap models, which must not
-/// leak into the shared fixture's epoch.
-fn service_from_bundle() -> KbqaService {
-    let artifacts = ServingArtifacts::load(&fixture().bundle).expect("load bundle");
-    let mut builder = KbqaService::builder(
-        Arc::clone(&artifacts.store),
-        Arc::clone(&artifacts.conceptualizer),
-        Arc::clone(&artifacts.model),
-    );
-    if let Some(ner) = &artifacts.ner {
-        builder = builder.ner(Arc::clone(ner));
-    }
-    if let Some(index) = &artifacts.pattern_index {
-        builder = builder.pattern_index(Arc::clone(index));
-    }
-    builder.build()
-}
-
 fn shard_server_config(tag: &str) -> ServerConfig {
     ServerConfig {
         workers: 2,
@@ -540,6 +516,48 @@ fn shard_server_config(tag: &str) -> ServerConfig {
     }
 }
 
+/// A service warm-started from a sharded bundle, served with
+/// `shard_workers`, must run the worker fleet: every shard has a live
+/// worker pid on `/healthz`, and answers match the unsharded service.
+#[test]
+fn a_warm_started_sharded_bundle_serves_through_shard_workers() {
+    let _guard = spawn_lock();
+    let service = ServingArtifacts::load(&fixture().bundle)
+        .expect("load bundle")
+        .into_service();
+    let handle = serve(service, "127.0.0.1:0", shard_server_config("warm-start"))
+        .expect("serve with shard workers");
+    let addr = handle.local_addr();
+
+    let (status, _, health) = must_request(addr, "GET", "/healthz", "", "");
+    assert_eq!(status, 200, "fleet not healthy: {health}");
+    let pids = extract_pids(&health);
+    assert_eq!(
+        pids.len(),
+        SHARDS,
+        "healthz lists every worker pid: {health}"
+    );
+    for &pid in &pids {
+        assert!(pid_alive(pid), "worker pid {pid} is not running: {health}");
+    }
+
+    let requests = request_set(fixture());
+    let expected = baselines();
+    let payload = serde_json::to_string(&requests).expect("payload");
+    let (status, _, body) = must_request(addr, "POST", "/batch", "", &payload);
+    assert_eq!(status, 200);
+    let responses: Vec<QaResponse> = serde_json::from_str(&body).expect("batch body");
+    assert_eq!(responses.len(), expected.len());
+    for (i, response) in responses.iter().enumerate() {
+        assert_eq!(
+            serde_json::to_string(response).expect("serialize"),
+            expected[i],
+            "request {i} diverged from the unsharded service"
+        );
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn crash_looping_worker_is_parked_and_healthz_reports_degraded_503() {
     let _guard = spawn_lock();
@@ -551,8 +569,10 @@ fn crash_looping_worker_is_parked_and_healthz_reports_degraded_503() {
     let result = std::panic::catch_unwind(|| {
         let mut config = shard_server_config("crash-loop");
         config.worker_breaker_max_restarts = 2;
-        let handle =
-            serve(service_from_bundle(), "127.0.0.1:0", config).expect("serve with shard workers");
+        let service = ServingArtifacts::load(&fixture().bundle)
+            .expect("load bundle")
+            .into_service();
+        let handle = serve(service, "127.0.0.1:0", config).expect("serve with shard workers");
         let addr = handle.local_addr();
 
         // The breaker parks shard 1 within a few backoff rounds.
@@ -615,7 +635,11 @@ fn crash_looping_worker_is_parked_and_healthz_reports_degraded_503() {
 #[test]
 fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
     let _guard = spawn_lock();
-    let service = service_from_bundle();
+    // A fresh model handle: reloads swap models, which must not leak into
+    // the shared fixture's epoch.
+    let service = ServingArtifacts::load(&fixture().bundle)
+        .expect("load bundle")
+        .into_service();
     let model_path = chaos_root().join("reload-model.json");
     kbqa_core::persist::save_model(&service.model(), &model_path).expect("save model");
     let mut config = shard_server_config("reload");
@@ -692,12 +716,11 @@ fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
 #[test]
 fn shutdown_under_load_drains_in_flight_requests_and_reaps_workers() {
     let _guard = spawn_lock();
-    let handle = serve(
-        service_from_bundle(),
-        "127.0.0.1:0",
-        shard_server_config("shutdown"),
-    )
-    .expect("serve with shard workers");
+    let service = ServingArtifacts::load(&fixture().bundle)
+        .expect("load bundle")
+        .into_service();
+    let handle = serve(service, "127.0.0.1:0", shard_server_config("shutdown"))
+        .expect("serve with shard workers");
     let addr = handle.local_addr();
     let (_, _, health) = must_request(addr, "GET", "/healthz", "", "");
     let pids = extract_pids(&health);

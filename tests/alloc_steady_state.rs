@@ -14,12 +14,6 @@
 //! Observability that costs heap on the hot path would be observability
 //! the server could not afford to leave on.
 //!
-//! PR 8 extends it to the scatter-gather path: the same workload with a
-//! shard router attached (value lookups resolved on owning shards via the
-//! adjacency index, fanout mask + lane telemetry recorded, tracer still
-//! armed) must also be allocation-free — the router adds hash probes and
-//! atomics to the hot path, never heap.
-//!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a concurrently running test would pollute the delta.
 
@@ -143,44 +137,8 @@ fn steady_state_kernel_performs_zero_allocations() {
         50 * tokenized.len()
     );
 
-    // Phase 3 (PR 8): the sharded scatter-gather merge path. Value lookups
-    // route to owning shard stores, the fanout mask and per-lane telemetry
-    // record on every call, the tracer stays armed — still zero heap.
-    let router = ShardRouter::from_store(&world.store, ShardPlan::new(3));
-    assert!(!router.is_degenerate());
-    let sharded = QaEngine::with_shared(&world.store, &world.conceptualizer, &model, &ner)
-        .with_shards(&router);
-    for _ in 0..3 {
-        for tokens in &tokenized {
-            scratch.trace.begin(true);
-            let _ = sharded.score_bfq(tokens, &mut scratch);
-            let _ = scratch.trace.finish(&stats);
-        }
-    }
-
-    let before = allocations();
-    let mut sharded_answered = 0usize;
-    for _ in 0..50 {
-        for tokens in &tokenized {
-            scratch.trace.begin(true);
-            if sharded.score_bfq(tokens, &mut scratch).is_ok() {
-                sharded_answered += 1;
-            }
-            let _ = scratch.trace.finish(&stats);
-        }
-    }
-    let delta = allocations() - before;
-    assert!(sharded_answered > 0, "sharded workload must answer");
-    assert!(
-        scratch.shard_mask() != 0,
-        "value lookups never routed through the shards"
-    );
-    assert_eq!(
-        delta,
-        0,
-        "sharded steady-state score_bfq allocated {delta} times over {} calls",
-        50 * tokenized.len()
-    );
+    // Phase 3 — the scatter-gather path over shard workers — is not
+    // budgeted: its lookups allocate wire frames by design.
 
     // Phase 4 (PR 10): the serving-edge serializer. `serialize_into` writes
     // a QaResponse straight into a caller-owned buffer — after warmup has

@@ -1,10 +1,14 @@
 //! Failure injection: the pipeline must degrade, not panic, under
 //! adversarial corpora, pathological graphs, and hostile question strings.
 //!
-//! PR 8 adds shard faults: a shard panicking mid-query must degrade that
+//! PR 8 adds shard faults: a shard failing mid-query must degrade that
 //! question to a typed [`Refusal::ShardUnavailable`] while the service — and
 //! the HTTP server above it, `/healthz` included — keeps serving everything
-//! that doesn't route to the poisoned shard.
+//! that doesn't route to the poisoned shard. The shards are worker lanes
+//! (`support::fleet`); a poisoned lane fails fast without reaching its
+//! worker, exactly as when the supervisor parks a dead one.
+
+mod support;
 
 use std::sync::Arc;
 
@@ -189,8 +193,8 @@ fn pattern_index_handles_duplicates_and_short_questions() {
     assert_eq!(fo, 2);
 }
 
-/// A sharded learned service over the tiny world plus questions it
-/// demonstrably answers through the router.
+/// A learned service over the tiny world, scatter-gathering through
+/// `shards` workers, plus questions it demonstrably answers through them.
 fn sharded_fixture(shards: usize) -> (KbqaService, Arc<ShardRouter>, Vec<String>) {
     let world = World::generate(WorldConfig::tiny(42));
     let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(5, 400));
@@ -200,7 +204,7 @@ fn sharded_fixture(shards: usize) -> (KbqaService, Arc<ShardRouter>, Vec<String>
         .map(|p| (p.question.clone(), p.answer.clone()))
         .collect();
     let model = learn_with(&world, pairs);
-    let service = service_for(&world, model).with_shards(ShardPlan::new(shards));
+    let service = support::fleet::serve_over_workers(&service_for(&world, model), shards);
     let router = Arc::clone(service.shard_router().expect("router installed"));
     let mut seen = std::collections::HashSet::new();
     let answerable: Vec<String> = corpus

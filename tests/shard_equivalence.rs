@@ -1,18 +1,20 @@
-//! Sharded-serving equivalence suite (PR 8).
+//! Sharded-serving equivalence suite.
 //!
-//! The shard-per-core scatter-gather path must be **byte-identical** to the
+//! Scatter-gather over shard workers must be **byte-identical** to the
 //! single-store kernel: the router only changes *where* `V(e, p⁺)` value
-//! lookups resolve (the owning shard's adjacency-indexed cut instead of the
-//! global columns), never *what* they return, and the batch scheduler only
-//! changes which thread runs a question, never its answer. This suite pins
-//! that contract over the full generated benchmark mix — corpus questions,
-//! QALD-like and WebQuestions-like benchmarks, the complex-question suite,
-//! refusal probes — at shard counts {1, 2, 4, 7}, via full-response JSON
-//! equality (answers, provenance, refusal causes, tie order, model epoch)
-//! plus bit-level score comparison, with per-request overrides in the mix.
-//! A concurrent model-swap test pins that no batch ever straddles mixed
-//! epochs, and an `#[ignore]`d large-world case re-runs the core check at
-//! CI's medium-world scale (≈1.2M triples, 4 shards).
+//! lookups resolve (the owning shard's worker, serving its adjacency-indexed
+//! cut, instead of the global columns), never *what* they return. This
+//! suite pins that contract over the full generated benchmark mix — corpus
+//! questions, QALD-like and WebQuestions-like benchmarks, the
+//! complex-question suite, refusal probes — at shard counts {1, 2, 4, 7},
+//! via full-response JSON equality (answers, provenance, refusal causes,
+//! tie order, model epoch) plus bit-level score comparison, with
+//! per-request overrides in the mix. Each shard count runs one worker per
+//! shard on threads of this process (`support::fleet`), over the bundle
+//! the service saves. An `#[ignore]`d large-world case re-runs the core
+//! check at CI's medium-world scale (≈1.2M triples, 4 shards).
+
+mod support;
 
 use std::sync::{Arc, OnceLock};
 
@@ -21,7 +23,7 @@ use proptest::prelude::*;
 use kbqa::corpus::benchmark;
 use kbqa::prelude::*;
 
-/// Shard counts under test: degenerate (1), even powers (2, 4), and a prime
+/// Shard counts under test: one worker (1), even powers (2, 4), and a prime
 /// (7) so ownership hashing never lines up with world-generation strides.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -29,6 +31,8 @@ struct Fixture {
     world: World,
     corpus: QaCorpus,
     service: KbqaService,
+    /// `service` over a worker fleet, one per entry of [`SHARD_COUNTS`].
+    sharded: Vec<KbqaService>,
 }
 
 fn build_fixture() -> Fixture {
@@ -54,15 +58,20 @@ fn build_fixture() -> Fixture {
     )
     .ner(ner)
     .build();
+    let sharded = SHARD_COUNTS
+        .iter()
+        .map(|&shards| support::fleet::serve_over_workers(&service, shards))
+        .collect();
     Fixture {
         world,
         corpus,
         service,
+        sharded,
     }
 }
 
-/// The fixture is expensive (world + corpus + EM); build it once for the
-/// whole binary. Tests only read from it (`with_shards` clones).
+/// The fixture is expensive (world + corpus + EM + fleets); build it once
+/// for the whole binary. Tests only read from it.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(build_fixture)
@@ -155,13 +164,9 @@ fn sharded_answers_are_byte_identical_across_shard_counts() {
     let requests = request_set(f);
     let baseline: Vec<QaResponse> = requests.iter().map(|r| f.service.answer(r)).collect();
     let mut answered = 0usize;
-    for shards in SHARD_COUNTS {
-        let sharded = f.service.with_shards(ShardPlan::new(shards));
-        if shards > 1 {
-            let router = sharded.shard_router().expect("router installed");
-            assert!(!router.is_degenerate());
-            assert_eq!(router.shard_count(), shards);
-        }
+    for (shards, sharded) in SHARD_COUNTS.into_iter().zip(&f.sharded) {
+        let router = sharded.shard_router().expect("router installed");
+        assert_eq!(router.shard_count(), shards);
         for (request, single) in requests.iter().zip(&baseline) {
             let response = sharded.answer(request);
             answered += usize::from(response.answered());
@@ -176,16 +181,14 @@ fn sharded_answers_are_byte_identical_across_shard_counts() {
     assert!(answered > 0, "suite never answered — it proves nothing");
 }
 
-/// `answer_batch` through the scatter-gather scheduler returns responses in
-/// request order, byte-identical to sequential single-store answers, at
-/// every shard count.
+/// `answer_batch` over worker lanes returns responses in request order,
+/// byte-identical to sequential single-store answers, at every shard count.
 #[test]
 fn sharded_batches_match_sequential_single_store_answers() {
     let f = fixture();
     let requests = request_set(f);
     let baseline: Vec<QaResponse> = requests.iter().map(|r| f.service.answer(r)).collect();
-    for shards in SHARD_COUNTS {
-        let sharded = f.service.with_shards(ShardPlan::new(shards));
+    for (shards, sharded) in SHARD_COUNTS.into_iter().zip(&f.sharded) {
         let batch = sharded.answer_batch(&requests);
         assert_eq!(batch.len(), requests.len());
         for ((request, single), response) in requests.iter().zip(&baseline).zip(&batch) {
@@ -196,73 +199,6 @@ fn sharded_batches_match_sequential_single_store_answers() {
                 &format!("{shards}-shard batch"),
             );
         }
-    }
-}
-
-/// Batches straddling a concurrent model swap: every response in one batch
-/// carries ONE model epoch (the batch snapshots the handle once), the epoch
-/// never moves backwards across batches, and answers under a stable epoch
-/// stay byte-identical to the unsharded service under the same model.
-#[test]
-fn epoch_swap_mid_batch_never_mixes_epochs() {
-    let f = fixture();
-    // A PRIVATE service: `with_shards` clones share the model handle, so
-    // swapping through the shared fixture would race the epoch stamps other
-    // tests compare. This one owns its handle.
-    let (model, _) = f.service.model_handle().load();
-    let private = KbqaService::builder(
-        Arc::clone(&f.world.store),
-        Arc::clone(&f.world.conceptualizer),
-        Arc::clone(&model),
-    )
-    .ner(Arc::new(GazetteerNer::from_store(&f.world.store)))
-    .build();
-    let sharded = private.with_shards(ShardPlan::new(4));
-    let requests = request_set(f);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-
-    let mut seen_epochs = Vec::new();
-    std::thread::scope(|scope| {
-        let swapper = scope.spawn(|| {
-            let mut swaps = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                // Same weights, new epoch: answers stay valid while the
-                // epoch stamp races the batches.
-                sharded.swap_model(Arc::clone(&model));
-                swaps += 1;
-                std::thread::yield_now();
-            }
-            swaps
-        });
-
-        for _ in 0..8 {
-            let batch = sharded.answer_batch(&requests);
-            let epoch = batch[0].model_epoch;
-            for (request, response) in requests.iter().zip(&batch) {
-                assert_eq!(
-                    response.model_epoch, epoch,
-                    "batch straddled mixed epochs at {:?}",
-                    request.question
-                );
-            }
-            seen_epochs.push(epoch);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let swaps = swapper.join().expect("swapper panicked");
-        assert!(swaps > 0, "the swapper never swapped — race not exercised");
-    });
-
-    assert!(
-        seen_epochs.windows(2).all(|w| w[0] <= w[1]),
-        "model epoch moved backwards across batches: {seen_epochs:?}"
-    );
-    // With the swap storm over, the sharded path still matches the
-    // unsharded kernel byte-for-byte under the final epoch (`private` and
-    // `sharded` share one handle, so the stamps agree).
-    for request in requests.iter().take(40) {
-        let a = sharded.answer(request);
-        let b = private.answer(request);
-        assert_identical(&a, &b, &request.question, "post-swap");
     }
 }
 
@@ -282,7 +218,7 @@ proptest! {
         let shards = SHARD_COUNTS[count];
         // 0 means "unset" — the vendored proptest has no Option strategy.
         let top_k = (top_k_raw > 0).then_some(top_k_raw);
-        let sharded = f.service.with_shards(ShardPlan::new(shards));
+        let sharded = &f.sharded[count];
         for i in 0..24 {
             let question = &questions[(seed * 31 + i * 17) % questions.len()];
             let mut request = QaRequest::new(question.clone());
@@ -295,7 +231,7 @@ proptest! {
 }
 
 /// CI's sharded medium-world gate: the core byte-equality check on the
-/// ≈1.2M-triple `large_1m` world at 4 shards. Run explicitly:
+/// ≈1.2M-triple `large_1m` world over 4 shard workers. Run explicitly:
 /// `cargo test --release --test shard_equivalence -- --ignored`.
 #[test]
 #[ignore = "medium-world scale: run explicitly with --ignored (CI does, in release mode)"]
@@ -334,7 +270,7 @@ fn large_world_four_shards_byte_identical() {
         .collect();
     assert!(requests.len() >= 300, "corpus too small for the 300 floor");
 
-    let sharded = service.with_shards(ShardPlan::new(4));
+    let sharded = support::fleet::serve_over_workers(&service, 4);
     let baseline: Vec<QaResponse> = requests.iter().map(|r| service.answer(r)).collect();
     let batch = sharded.answer_batch(&requests);
     let mut answered = 0usize;
