@@ -140,7 +140,8 @@ fn run_profile(
         persist::save_json(world.store.as_ref(), &json_path).expect("json save");
         json_bytes = std::fs::metadata(&json_path).expect("json meta").len();
         let t = Instant::now();
-        let parsed = persist::load_store_json(&json_path).expect("json load");
+        let mut parsed: TripleStore = persist::load_json(&json_path).expect("json load");
+        parsed.rebuild_index();
         json_cold_parse_secs = t.elapsed().as_secs_f64();
         assert_eq!(parsed.len(), world.store.len());
         std::fs::remove_file(&json_path).ok();

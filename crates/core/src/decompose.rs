@@ -9,15 +9,22 @@
 //!   substring replacement, `f_v` counts matches where the replaced
 //!   substring is an entity mention. Over-general patterns like `when $e?`
 //!   get large `f_o` and zero `f_v` (Example 4).
-//! * [`decompose`] — the `O(|q|⁴)` dynamic program of Algorithm 2, exact
-//!   per Theorem 2's local-optimality property, maximizing
+//! * [`decompose_with`] — the `O(|q|⁴)` dynamic program of Algorithm 2,
+//!   exact per Theorem 2's local-optimality property, maximizing
 //!   `P(A) = Π P(q̌)` (Eq 27) with `δ(qᵢ)` = "the engine can answer qᵢ as a
 //!   primitive BFQ".
 //!
-//! [`answer_complex`] then executes the winning sequence left to right,
+//! [`execute_with`] then runs the winning sequence left to right,
 //! substituting each step's answer value into the next pattern's `$e` slot
 //! (carrying several candidate values, since intermediate BFQs may be
-//! multi-valued — band members, for instance).
+//! multi-valued — band members, for instance). [`answer_complex_with`] is
+//! the two together: the fallback
+//! [`QaEngine::answer_request_with`](crate::engine::QaEngine::answer_request_with)
+//! takes when the direct BFQ refuses.
+//!
+//! Every entry point runs on a caller-owned [`ScratchSpace`]: the request
+//! level passes the scratch it was given, and
+//! [`crate::service::KbqaService`] passes the calling thread's.
 
 use kbqa_common::hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
@@ -164,19 +171,12 @@ impl Decomposition {
 
 /// Run Algorithm 2 on a question. Returns `None` when no substring is a
 /// primitive BFQ (nothing is answerable).
-pub fn decompose(
-    engine: &QaEngine<'_>,
-    index: &PatternIndex,
-    question: &str,
-) -> Option<Decomposition> {
-    decompose_with(engine, index, question, &mut ScratchSpace::default())
-}
-
-/// [`decompose`] over a caller-owned engine scratch: the `O(|q|²)` δ-probes
-/// of the DP run the scoring kernel only, reusing one scratch throughout —
-/// including the substring tokenization, which is **assembled by
-/// [`kbqa_nlp::TokenizedText::slice_into`]** from the parent's tokens into
-/// one reused buffer instead of re-tokenizing each of the `O(|q|²)` ranges.
+///
+/// The `O(|q|²)` δ-probes of the DP run the scoring kernel only, reusing
+/// the caller's scratch throughout — including the substring tokenization,
+/// which is **assembled by [`kbqa_nlp::TokenizedText::slice_into`]** from
+/// the parent's tokens into one reused buffer instead of re-tokenizing each
+/// of the `O(|q|²)` ranges.
 pub fn decompose_with(
     engine: &QaEngine<'_>,
     index: &PatternIndex,
@@ -214,10 +214,11 @@ pub fn decompose_with(
     for len in 1..=n {
         for a in 0..=(n - len) {
             let b = a + len;
-            // δ(qᵢ): primitive BFQ?
+            // δ(qᵢ) of Eq 28: is the range a primitive BFQ? Scoring alone
+            // decides; no probe needs materialized answers.
             tokens.slice_into(a, b, &mut sub);
             let mut best = Cell {
-                prob: if engine.is_answerable_with(&sub, scratch) {
+                prob: if engine.score_bfq(&sub, scratch).is_ok() {
                     1.0
                 } else {
                     0.0
@@ -276,12 +277,7 @@ pub fn decompose_with(
 /// Execute a decomposition: answer the primitive, then substitute into each
 /// pattern outward. Returns the final step's ranked answers — provenance
 /// (entity/template/predicate/node) is the last hop's, with scores
-/// accumulated along the chain.
-pub fn execute(engine: &QaEngine<'_>, decomposition: &Decomposition) -> Option<Vec<Answer>> {
-    execute_with(engine, decomposition, &mut ScratchSpace::default())
-}
-
-/// [`execute`] over a caller-owned engine scratch.
+/// accumulated along the chain — or `None` when some step refuses.
 pub fn execute_with(
     engine: &QaEngine<'_>,
     decomposition: &Decomposition,
@@ -327,18 +323,8 @@ pub fn execute_with(
     Some(carried)
 }
 
-/// Decompose-then-execute; the engine's fallback for non-primitive
-/// questions.
-pub fn answer_complex(
-    engine: &QaEngine<'_>,
-    index: &PatternIndex,
-    question: &str,
-) -> Option<Vec<Answer>> {
-    answer_complex_with(engine, index, question, &mut ScratchSpace::default())
-}
-
-/// [`answer_complex`] over a caller-owned engine scratch — the engine's
-/// internal fallback path.
+/// Decompose-then-execute: the engine's fallback for questions the direct
+/// BFQ refuses.
 pub fn answer_complex_with(
     engine: &QaEngine<'_>,
     index: &PatternIndex,
@@ -347,15 +333,12 @@ pub fn answer_complex_with(
 ) -> Option<Vec<Answer>> {
     let decomposition = decompose_with(engine, index, question, scratch)?;
     if decomposition.patterns.is_empty() {
-        // Primitive — answer_bfq already failed upstream, but the DP may
-        // have matched a sub-range; re-run on the primitive.
-        let answers = engine
+        // Primitive: the whole question already refused upstream, but the
+        // DP may have matched a sub-range; answer that range as a BFQ.
+        return engine
             .answer_bfq_explained_with(&decomposition.primitive, scratch)
-            .unwrap_or_default();
-        if answers.is_empty() {
-            return None;
-        }
-        return Some(answers);
+            .ok()
+            .filter(|answers| !answers.is_empty());
     }
     execute_with(engine, &decomposition, scratch)
 }
@@ -453,7 +436,7 @@ mod tests {
             "how many people live in the capital of {}",
             world.store.surface(country)
         );
-        let decomposition = decompose(&engine, &index, &q);
+        let decomposition = decompose_with(&engine, &index, &q, &mut ScratchSpace::new());
         let Some(d) = decomposition else {
             panic!("no decomposition found for {q:?}");
         };
@@ -501,7 +484,7 @@ mod tests {
             "how many people live in the capital of {}",
             world.store.surface(country)
         );
-        let answer = answer_complex(&engine, &index, &q);
+        let answer = answer_complex_with(&engine, &index, &q, &mut ScratchSpace::new());
         let Some(answers) = answer else {
             panic!("complex question unanswered: {q:?}");
         };
@@ -524,7 +507,8 @@ mod tests {
             .find(|&c| !world.gold_values(pop, c).is_empty())
             .unwrap();
         let q = format!("what is the population of {}", world.store.surface(city));
-        let d = decompose(&engine, &index, &q).expect("primitive decomposition");
+        let d = decompose_with(&engine, &index, &q, &mut ScratchSpace::new())
+            .expect("primitive decomposition");
         assert_eq!(d.len(), 1);
         assert_eq!(d.probability, 1.0);
         assert!(d.patterns.is_empty());
@@ -534,8 +518,9 @@ mod tests {
     fn undecomposable_question_returns_none() {
         let (world, model, index) = setup();
         let engine = crate::engine::QaEngine::new(&world.store, &world.conceptualizer, &model);
-        assert!(decompose(&engine, &index, "why is the sky blue").is_none());
-        assert!(decompose(&engine, &index, "").is_none());
+        let mut scratch = ScratchSpace::new();
+        assert!(decompose_with(&engine, &index, "why is the sky blue", &mut scratch).is_none());
+        assert!(decompose_with(&engine, &index, "", &mut scratch).is_none());
     }
 
     #[test]

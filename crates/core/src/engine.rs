@@ -12,6 +12,15 @@
 //! high-precision system answers fewer questions rather than guessing. Each
 //! refusal carries its cause as a [`Refusal`].
 //!
+//! The engine answers at three levels, each on a caller-owned
+//! [`ScratchSpace`] and each returning its refusal:
+//! [`QaEngine::answer_request_with`] (a request: BFQ, then the Sec 5
+//! decomposition fallback), [`QaEngine::answer_bfq_explained_with`] (a
+//! question string) and [`QaEngine::bfq_kernel`] (pre-tokenized text).
+//! [`QaEngine::score_bfq`] is the kernel's scoring phase alone, and
+//! [`QaEngine::bfq_kernel_reference`] the naive oracle the optimized kernel
+//! is pinned against.
+//!
 //! [`QaEngine`] borrows its substrate for a lifetime; it is the internal
 //! kernel that [`crate::service::KbqaService`] wraps for serving. New
 //! integrations should talk to the service, not the engine.
@@ -287,7 +296,7 @@ pub struct QaEngine<'a> {
     conceptualizer: &'a Conceptualizer,
     model: &'a LearnedModel,
     ner: Cow<'a, GazetteerNer>,
-    pattern_index: Option<Cow<'a, PatternIndex>>,
+    pattern_index: Option<&'a PatternIndex>,
     /// When set, `V(e, p)` lookups route to the owning shard's worker (the
     /// scatter half of scatter-gather); everything else stays global. See
     /// [`crate::shard::ShardRouter`].
@@ -361,16 +370,11 @@ impl<'a> QaEngine<'a> {
         self
     }
 
-    /// Attach an owned corpus pattern index enabling complex-question
-    /// decomposition (Sec 5).
-    pub fn with_pattern_index(mut self, index: PatternIndex) -> Self {
-        self.pattern_index = Some(Cow::Owned(index));
-        self
-    }
-
-    /// Attach a borrowed pattern index (the service path).
-    pub fn with_pattern_index_ref(mut self, index: &'a PatternIndex) -> Self {
-        self.pattern_index = Some(Cow::Borrowed(index));
+    /// Attach a corpus pattern index, enabling complex-question
+    /// decomposition (Sec 5) as the fallback of
+    /// [`QaEngine::answer_request_with`].
+    pub fn with_pattern_index(mut self, index: &'a PatternIndex) -> Self {
+        self.pattern_index = Some(index);
         self
     }
 
@@ -381,7 +385,7 @@ impl<'a> QaEngine<'a> {
 
     /// The pattern index, when attached.
     pub fn pattern_index(&self) -> Option<&PatternIndex> {
-        self.pattern_index.as_deref()
+        self.pattern_index
     }
 
     /// The underlying store.
@@ -402,29 +406,19 @@ impl<'a> QaEngine<'a> {
             conceptualizer: self.conceptualizer,
             model: self.model,
             ner: Cow::Borrowed(self.ner.as_ref()),
-            pattern_index: self.pattern_index.as_deref().map(Cow::Borrowed),
+            pattern_index: self.pattern_index,
             shards: self.shards,
             shard_epoch: self.shard_epoch,
             config,
         }
     }
 
-    /// Answer a question as a BFQ: the Eq (7) enumeration. Returns ranked
-    /// answers with provenance; empty = refusal (use
-    /// [`QaEngine::answer_bfq_explained`] for the cause).
-    pub fn answer_bfq(&self, question: &str) -> Vec<Answer> {
-        self.answer_bfq_explained(question).unwrap_or_default()
-    }
-
-    /// BFQ answering with the refusal cause on the error path.
-    pub fn answer_bfq_explained(&self, question: &str) -> Result<Vec<Answer>, Refusal> {
-        self.answer_bfq_explained_with(question, &mut ScratchSpace::default())
-    }
-
-    /// [`QaEngine::answer_bfq_explained`] over a caller-owned scratch —
-    /// the steady-state serving path. Tokenization reuses the scratch's
-    /// buffer (taken out for the kernel call, put back after), so repeat
-    /// requests stop allocating for it.
+    /// Answer a question as a BFQ (the Eq (7) enumeration, no
+    /// decomposition fallback): ranked answers with provenance, or the
+    /// [`Refusal`] naming the first stage without support. Tokenization
+    /// reuses the scratch's buffer (taken out for the kernel call, put back
+    /// after), so repeat questions stop allocating for it. The
+    /// decomposition executor answers each step of a chain through this.
     pub fn answer_bfq_explained_with(
         &self,
         question: &str,
@@ -437,26 +431,12 @@ impl<'a> QaEngine<'a> {
         result
     }
 
-    /// BFQ answering over pre-tokenized text (the decomposition DP calls
-    /// this on substrings).
-    pub fn answer_bfq_tokens(&self, tokens: &TokenizedText) -> Vec<Answer> {
-        self.answer_bfq_tokens_with(tokens, &mut ScratchSpace::default())
-    }
-
-    /// [`QaEngine::answer_bfq_tokens`] over a caller-owned scratch.
-    pub fn answer_bfq_tokens_with(
-        &self,
-        tokens: &TokenizedText,
-        scratch: &mut ScratchSpace,
-    ) -> Vec<Answer> {
-        self.bfq_kernel(tokens, scratch).unwrap_or_default()
-    }
-
-    /// The optimized Eq (7) enumeration: scoring plus answer
-    /// materialization. Output-equivalent to
+    /// The optimized Eq (7) enumeration over pre-tokenized text: scoring
+    /// plus answer materialization. Output-equivalent to
     /// [`QaEngine::bfq_kernel_reference`] (the equivalence suite pins this
-    /// byte-for-byte over the generated benchmark).
-    fn bfq_kernel(
+    /// byte-for-byte over the generated benchmark); benchmarks time the two
+    /// side by side on the same tokens.
+    pub fn bfq_kernel(
         &self,
         tokens: &TokenizedText,
         scratch: &mut ScratchSpace,
@@ -878,16 +858,10 @@ impl<'a> QaEngine<'a> {
     }
 
     /// Answer a request: direct BFQ inference, decomposition fallback, and
-    /// per-request configuration overrides. This is the full online
-    /// procedure the service exposes.
-    pub fn answer_request(&self, request: &QaRequest) -> QaResponse {
-        self.answer_request_with(request, &mut ScratchSpace::default())
-    }
-
-    /// [`QaEngine::answer_request`] over a caller-owned scratch — what the
-    /// service's per-worker serving loop calls. When the request carries no
-    /// overrides (the common case), the engine runs as-is instead of
-    /// building a reconfigured view.
+    /// per-request configuration overrides — the full online procedure the
+    /// service exposes, run on the caller's scratch (the service passes its
+    /// per-thread one). When the request carries no overrides (the common
+    /// case), the engine runs as-is instead of building a reconfigured view.
     pub fn answer_request_with(
         &self,
         request: &QaRequest,
@@ -943,23 +917,6 @@ impl<'a> QaEngine<'a> {
             response.stats = Some(self.question_statistics(&request.question));
         }
         response
-    }
-
-    /// Answer a bare question with this engine's defaults.
-    pub fn answer_question(&self, question: &str) -> QaResponse {
-        self.answer_request(&QaRequest::new(question))
-    }
-
-    /// Can this text be answered as a primitive BFQ? (The δ of Eq 28.)
-    pub fn is_answerable(&self, tokens: &TokenizedText) -> bool {
-        self.is_answerable_with(tokens, &mut ScratchSpace::default())
-    }
-
-    /// [`QaEngine::is_answerable`] over a caller-owned scratch: runs only
-    /// the scoring phase — the decomposition DP asks this for `O(|q|²)`
-    /// substrings, none of which need materialized answers.
-    pub fn is_answerable_with(&self, tokens: &TokenizedText, scratch: &mut ScratchSpace) -> bool {
-        self.score_bfq(tokens, scratch).is_ok()
     }
 
     /// Distinct `(entity, widest mention)` groundings of a question — the
@@ -1090,6 +1047,7 @@ mod tests {
     fn answers_population_questions_correctly() {
         let (world, model) = setup();
         let engine = QaEngine::new(&world.store, &world.conceptualizer, &model);
+        let mut scratch = ScratchSpace::new();
         let pop = world.intent_by_name("city_population").unwrap();
         let mut right = 0;
         let mut asked = 0;
@@ -1100,12 +1058,8 @@ mod tests {
             }
             asked += 1;
             let q = format!("how many people are there in {}", world.store.surface(city));
-            let answers = engine.answer_bfq(&q);
-            if answers
-                .first()
-                .map(|a| gold.contains(&a.value))
-                .unwrap_or(false)
-            {
+            let answers = engine.answer_bfq_explained_with(&q, &mut scratch);
+            if answers.is_ok_and(|a| a.first().is_some_and(|a| gold.contains(&a.value))) {
                 right += 1;
             }
         }
@@ -1128,8 +1082,9 @@ mod tests {
             .find(|&c| !world.gold_values(pop, c).is_empty())
             .unwrap();
         let q = format!("what is the population of {}", world.store.surface(city));
-        let answers = engine.answer_bfq(&q);
-        assert!(!answers.is_empty());
+        let answers = engine
+            .answer_bfq_explained_with(&q, &mut ScratchSpace::new())
+            .expect("a population question answers");
         let a = &answers[0];
         assert_eq!(a.predicate, "population");
         assert!(a.template.contains('$'), "template: {}", a.template);
@@ -1141,13 +1096,20 @@ mod tests {
     fn refuses_unknown_questions_with_cause() {
         let (world, model) = setup();
         let engine = QaEngine::new(&world.store, &world.conceptualizer, &model);
-        assert!(engine.answer_bfq("what is the meaning of life").is_empty());
+        let mut scratch = ScratchSpace::new();
+        assert!(engine
+            .answer_bfq_explained_with("what is the meaning of life", &mut scratch)
+            .is_err());
         // No mention of any KB entity: the earliest stage refuses.
         assert_eq!(
-            engine.answer_bfq_explained("why is the sky blue"),
+            engine.answer_bfq_explained_with("why is the sky blue", &mut scratch),
             Err(Refusal::NoEntityGrounded)
         );
-        assert!(!engine.answer_question("why is the sky blue").answered());
+        // The request level keeps the cause on the response.
+        let response =
+            engine.answer_request_with(&QaRequest::new("why is the sky blue"), &mut scratch);
+        assert!(!response.answered());
+        assert_eq!(response.refusal, Some(Refusal::NoEntityGrounded));
     }
 
     #[test]
@@ -1164,7 +1126,7 @@ mod tests {
             world.store.surface(city)
         );
         assert_eq!(
-            engine.answer_bfq_explained(&q),
+            engine.answer_bfq_explained_with(&q, &mut ScratchSpace::new()),
             Err(Refusal::NoTemplateMatched)
         );
     }
@@ -1182,16 +1144,13 @@ mod tests {
             .take(8)
             .collect();
         assert!(!married.is_empty());
+        let mut scratch = ScratchSpace::new();
         let mut right = 0;
         for person in &married {
             let gold = world.gold_values(spouse, *person);
             let q = format!("who is {} married to", world.store.surface(*person));
-            let answers = engine.answer_bfq(&q);
-            if answers
-                .first()
-                .map(|a| gold.contains(&a.value))
-                .unwrap_or(false)
-            {
+            let answers = engine.answer_bfq_explained_with(&q, &mut scratch);
+            if answers.is_ok_and(|a| a.first().is_some_and(|a| gold.contains(&a.value))) {
                 right += 1;
             }
         }
@@ -1226,7 +1185,10 @@ mod tests {
             .find(|&c| !world.gold_values(pop, c).is_empty())
             .unwrap();
         let q = format!("population of {}", world.store.surface(city));
-        let response = engine.answer_request(&QaRequest::new(&q).with_explain(true));
+        let response = engine.answer_request_with(
+            &QaRequest::new(&q).with_explain(true),
+            &mut ScratchSpace::new(),
+        );
         assert!(response.answered());
         assert!(response.top().is_some());
         let stats = response.stats.as_ref().expect("explain attaches stats");
@@ -1246,8 +1208,14 @@ mod tests {
         let city = world.subjects_of(pop)[0];
         let q = format!("how many people live in {}", world.store.surface(city));
         let lenient = QaEngine::new(&world.store, &world.conceptualizer, &model);
+        let mut scratch = ScratchSpace::new();
+        let mut count = |engine: &QaEngine<'_>| {
+            engine
+                .answer_bfq_explained_with(&q, &mut scratch)
+                .map_or(0, |answers| answers.len())
+        };
         // Strict answers ⊆ lenient answers.
-        assert!(strict.answer_bfq(&q).len() <= lenient.answer_bfq(&q).len());
+        assert!(count(&strict) <= count(&lenient));
     }
 
     #[test]
@@ -1265,9 +1233,12 @@ mod tests {
         let q = format!("how many people live in {}", world.store.surface(city));
         // A per-request override must behave exactly like an engine built
         // with that configuration.
-        let via_request =
-            engine.answer_request(&QaRequest::new(&q).with_min_theta(0.99).with_top_k(1));
-        let via_engine = strict_engine.answer_question(&q);
+        let mut scratch = ScratchSpace::new();
+        let via_request = engine.answer_request_with(
+            &QaRequest::new(&q).with_min_theta(0.99).with_top_k(1),
+            &mut scratch,
+        );
+        let via_engine = strict_engine.answer_request_with(&QaRequest::new(&q), &mut scratch);
         assert_eq!(via_request, via_engine);
     }
 }

@@ -17,8 +17,8 @@
 //! small, inspectable and diffable in experiments. The **knowledge base**
 //! is the exception — at million-entity scale a JSON parse dominates start
 //! time, so the store is persisted as a zero-copy snapshot (`store.snap`,
-//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild; legacy
-//! `store.json` bundles remain loadable as a fallback.
+//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild. The
+//! snapshot is the only store format a bundle loads.
 //!
 //! # Atomicity and integrity (PR 5)
 //!
@@ -47,8 +47,8 @@
 //! therefore writes a `manifest.json` **last**, recording the digest of
 //! every file in the bundle; [`ServingArtifacts::load`] re-hashes each
 //! listed file against the manifest and refuses the bundle on any mismatch.
-//! Directories without a manifest (pre-PR8 saves) load under the per-file
-//! rules only.
+//! The manifest is required: a directory without one is not a bundle, and
+//! loading it is a typed error.
 //!
 //! # Sharded bundles (PR 8)
 //!
@@ -199,15 +199,6 @@ pub fn load_store(path: &Path) -> Result<TripleStore> {
     Ok(TripleStore::from_snapshot(snapshot))
 }
 
-/// Load a triple store from the legacy JSON format (`store.json`),
-/// rebuilding its derived indexes. Kept so artifact directories written
-/// before the snapshot format stay warm-startable.
-pub fn load_store_json(path: &Path) -> Result<TripleStore> {
-    let mut store: TripleStore = load_json(path)?;
-    store.rebuild_index();
-    Ok(store)
-}
-
 /// Save a conceptualizer (taxonomy network plus its tuning). Returns the
 /// file's digest.
 pub fn save_taxonomy(conceptualizer: &Conceptualizer, path: &Path) -> Result<String> {
@@ -223,9 +214,6 @@ pub fn load_taxonomy(path: &Path) -> Result<Conceptualizer> {
 
 /// File name for the knowledge base snapshot inside an artifact directory.
 pub const STORE_FILE: &str = "store.snap";
-/// Legacy JSON file name for the knowledge base; read as a fallback when no
-/// snapshot is present, never written by current saves.
-pub const LEGACY_STORE_FILE: &str = "store.json";
 /// File name for the taxonomy inside an artifact directory.
 pub const TAXONOMY_FILE: &str = "taxonomy.json";
 /// File name for the learned model inside an artifact directory.
@@ -261,11 +249,21 @@ struct BundleManifest {
     shard_stats: Option<ShardStats>,
 }
 
-/// Decode a bundle manifest. The one decode path for manifests: a shard
-/// plan is validated here ([`ShardPlan::validate`]), because the derived
-/// deserializer bypasses the clamps [`ShardPlan::new`] applies.
-fn read_manifest(path: &Path) -> Result<BundleManifest> {
-    let manifest: BundleManifest = load_json(path)?;
+/// Decode the manifest of the bundle in `dir`. The one decode path for
+/// manifests: a missing manifest is a typed error (every
+/// [`ServingArtifacts::save`] writes one), and a shard plan is validated
+/// here ([`ShardPlan::validate`]), because the derived deserializer
+/// bypasses the clamps [`ShardPlan::new`] applies.
+fn read_manifest(dir: &Path) -> Result<BundleManifest> {
+    let path = dir.join(MANIFEST_FILE);
+    if !path.exists() {
+        return Err(KbqaError::Io(format!(
+            "{} has no {MANIFEST_FILE}: not a serving bundle (write one with \
+             ServingArtifacts::save)",
+            dir.display()
+        )));
+    }
+    let manifest: BundleManifest = load_json(&path)?;
     if let Some(plan) = &manifest.shard_plan {
         plan.validate()?;
     }
@@ -275,16 +273,12 @@ fn read_manifest(path: &Path) -> Result<BundleManifest> {
 /// Read just the shard plan (and cut stats) out of a bundle's manifest —
 /// what the server's supervisor needs to spawn one worker per shard
 /// without mapping any snapshot itself. Returns `Ok(None)` for an
-/// unsharded bundle or a pre-manifest directory, and a typed error for a
-/// plan [`ShardPlan::new`] would never build. Verifies each listed
+/// unsharded bundle, and a typed error for a directory without a manifest
+/// or a plan [`ShardPlan::new`] would never build. Verifies each listed
 /// `store.shard-{i}.snap` exists (the workers will map them) but leaves
 /// digest checking to the workers' own snapshot/sidecar validation.
 pub fn load_shard_manifest(dir: &Path) -> Result<Option<(ShardPlan, ShardStats)>> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    if !manifest_path.exists() {
-        return Ok(None);
-    }
-    let manifest = read_manifest(&manifest_path)?;
+    let manifest = read_manifest(dir)?;
     let Some(plan) = manifest.shard_plan else {
         return Ok(None);
     };
@@ -397,55 +391,42 @@ impl ServingArtifacts {
     }
 
     /// Load a bundle from `dir`. The store is mapped from its snapshot
-    /// (warm start: no parse, no index rebuild) — or parsed from the legacy
-    /// `store.json` when no snapshot exists. The NER and pattern-index
-    /// files are optional; everything else must be present.
+    /// (warm start: no parse, no index rebuild). The NER and pattern-index
+    /// files are optional; everything else, the manifest included, must be
+    /// present.
     ///
-    /// When a `manifest.json` is present, every file it lists is re-hashed
-    /// against its recorded digest before anything is parsed — a bundle
-    /// whose files are individually sidecar-consistent but come from
-    /// *different saves* (store from save N, model from save N+1) is
-    /// refused with a typed error. Pre-manifest directories load under the
-    /// per-file rules only.
+    /// Every file the manifest lists is re-hashed against its recorded
+    /// digest before anything is parsed — a bundle whose files are
+    /// individually sidecar-consistent but come from *different saves*
+    /// (store from save N, model from save N+1) is refused with a typed
+    /// error, and so is a directory without a manifest.
     ///
     /// A sharded bundle's plan is read back from the manifest (and
     /// validated); its shard snapshots are checked against the manifest
     /// like every other file but not mapped — the workers map them.
     pub fn load(dir: &Path) -> Result<Self> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest: Option<BundleManifest> = if manifest_path.exists() {
-            let manifest = read_manifest(&manifest_path)?;
-            for (name, expected) in &manifest.files {
-                let path = dir.join(name);
-                let bytes = std::fs::read(&path).map_err(|e| {
-                    KbqaError::Io(format!(
-                        "bundle manifest lists {name} but it cannot be read: {e}"
-                    ))
-                })?;
-                let actual = digest(&bytes);
-                if actual != *expected {
-                    return Err(KbqaError::Io(format!(
-                        "bundle manifest mismatch for {}: manifest says {expected}, file \
-                         hashes to {actual} — the bundle mixes files from different saves \
-                         (each may still pass its own sidecar); re-save the bundle",
-                        path.display(),
-                    )));
-                }
+        let manifest = read_manifest(dir)?;
+        for (name, expected) in &manifest.files {
+            let path = dir.join(name);
+            let bytes = std::fs::read(&path).map_err(|e| {
+                KbqaError::Io(format!(
+                    "bundle manifest lists {name} but it cannot be read: {e}"
+                ))
+            })?;
+            let actual = digest(&bytes);
+            if actual != *expected {
+                return Err(KbqaError::Io(format!(
+                    "bundle manifest mismatch for {}: manifest says {expected}, file \
+                     hashes to {actual} — the bundle mixes files from different saves \
+                     (each may still pass its own sidecar); re-save the bundle",
+                    path.display(),
+                )));
             }
-            Some(manifest)
-        } else {
-            None
-        };
+        }
         let ner_path = dir.join(NER_FILE);
         let patterns_path = dir.join(PATTERNS_FILE);
-        let snap_path = dir.join(STORE_FILE);
-        let store = if snap_path.exists() {
-            load_store(&snap_path)?
-        } else {
-            load_store_json(&dir.join(LEGACY_STORE_FILE))?
-        };
         Ok(Self {
-            store: Arc::new(store),
+            store: Arc::new(load_store(&dir.join(STORE_FILE))?),
             conceptualizer: Arc::new(load_taxonomy(&dir.join(TAXONOMY_FILE))?),
             model: Arc::new(load_model(&dir.join(MODEL_FILE))?),
             ner: if ner_path.exists() {
@@ -458,16 +439,15 @@ impl ServingArtifacts {
             } else {
                 None
             },
-            shard_plan: manifest.and_then(|m| m.shard_plan),
+            shard_plan: manifest.shard_plan,
         })
     }
 
-    /// Does `dir` hold a loadable bundle (a store in either format, plus
-    /// the taxonomy and model)?
+    /// Does `dir` hold a bundle? True when its manifest exists: the
+    /// manifest is written last, so its presence implies a complete save
+    /// ([`ServingArtifacts::load`] still verifies every file against it).
     pub fn present_in(dir: &Path) -> bool {
-        (dir.join(STORE_FILE).exists() || dir.join(LEGACY_STORE_FILE).exists())
-            && dir.join(TAXONOMY_FILE).exists()
-            && dir.join(MODEL_FILE).exists()
+        dir.join(MANIFEST_FILE).exists()
     }
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
@@ -798,17 +778,28 @@ mod tests {
     }
 
     #[test]
-    fn bundle_without_manifest_still_loads() {
+    fn bundle_without_manifest_is_a_typed_error() {
         let (service, _) = learned_service(49);
         let dir = unique_temp_dir("bundle-no-manifest");
         ServingArtifacts::from_service(&service)
             .save(&dir)
             .expect("save bundle");
+        assert!(ServingArtifacts::present_in(&dir));
         let manifest = dir.join(MANIFEST_FILE);
         std::fs::remove_file(&manifest).unwrap();
         std::fs::remove_file(checksum_path(&manifest)).unwrap();
-        let restored = ServingArtifacts::load(&dir).expect("pre-manifest bundle loads");
-        assert!(restored.shard_plan.is_none());
+        // Every other file of the save is still there, and still loads on
+        // its own; without the manifest the directory is not a bundle.
+        assert!(!ServingArtifacts::present_in(&dir));
+        assert!(load_store(&dir.join(STORE_FILE)).is_ok());
+        match ServingArtifacts::load(&dir) {
+            Err(KbqaError::Io(message)) => {
+                assert!(message.contains(MANIFEST_FILE), "typed error: {message}")
+            }
+            Err(other) => panic!("unexpected error kind: {other:?}"),
+            Ok(_) => panic!("a manifest-less directory must not load"),
+        }
+        assert!(matches!(load_shard_manifest(&dir), Err(KbqaError::Io(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -850,23 +841,6 @@ mod tests {
             }
             other => panic!("stale sidecar must fail closed: {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_json_store_still_warm_starts() {
-        let world = World::generate(WorldConfig::tiny(45));
-        let dir = unique_temp_dir("legacy-json");
-        // Write the store the pre-snapshot way.
-        let json_path = dir.join(LEGACY_STORE_FILE);
-        save_json(world.store.as_ref(), &json_path).unwrap();
-        let restored = load_store_json(&json_path).unwrap();
-        assert_eq!(restored.backend_kind(), kbqa_rdf::BackendKind::InMemory);
-        assert_eq!(restored.len(), world.store.len());
-        assert!(
-            !ServingArtifacts::present_in(&dir),
-            "store alone is not a full bundle"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,6 +24,12 @@
 //! responses come back in request order, byte-identical to sequential
 //! single-request calls.
 //!
+//! Every request, single or batched, runs in one place: the snapshot's
+//! private `answer_with`, which arms the stage tracer and calls
+//! [`crate::engine::QaEngine::answer_request_with`] on the calling thread's
+//! reusable [`ScratchSpace`]. [`KbqaService::decompose`] and
+//! [`KbqaService::execute_decomposition`] run on that same scratch.
+//!
 //! # Live model swaps
 //!
 //! The paper's offline procedure takes 1438 minutes; a serving process must
@@ -595,7 +601,7 @@ impl ServiceSnapshot {
             QaEngine::with_shared(&self.store, &self.conceptualizer, &self.model, &self.ner)
                 .with_config(self.config.clone());
         if let Some(index) = self.pattern_index.as_deref() {
-            engine = engine.with_pattern_index_ref(index);
+            engine = engine.with_pattern_index(index);
         }
         if let Some(router) = self.shards.as_deref() {
             engine = engine
@@ -662,7 +668,7 @@ impl ServiceSnapshot {
                 let engine = self.engine();
                 requests
                     .iter()
-                    .map(|r| self.stamp(&engine, r, scratch))
+                    .map(|r| self.answer_with(&engine, r, scratch).0)
                     .collect()
             });
         }
@@ -677,7 +683,7 @@ impl ServiceSnapshot {
                             let engine = self.engine();
                             chunk
                                 .iter()
-                                .map(|r| self.stamp(&engine, r, scratch))
+                                .map(|r| self.answer_with(&engine, r, scratch).0)
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -688,15 +694,6 @@ impl ServiceSnapshot {
                 .flat_map(|h| h.join().expect("batch worker panicked"))
                 .collect()
         })
-    }
-
-    fn stamp(
-        &self,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-    ) -> QaResponse {
-        self.answer_with(engine, request, scratch).0
     }
 
     /// The one place a request actually runs: arm the scratch tracer when
@@ -978,12 +975,6 @@ impl KbqaService {
         self.snapshot().answer(request)
     }
 
-    /// Answer one request, additionally returning the per-stage breakdown
-    /// when the request was traced (see [`ServiceSnapshot::answer_traced`]).
-    pub fn answer_traced(&self, request: &QaRequest) -> (QaResponse, Option<StageBreakdown>) {
-        self.snapshot().answer_traced(request)
-    }
-
     /// Answer a bare question with default options.
     pub fn answer_text(&self, question: &str) -> QaResponse {
         self.answer(&QaRequest::new(question))
@@ -1011,13 +1002,17 @@ impl KbqaService {
     pub fn decompose(&self, question: &str) -> Option<Decomposition> {
         let snapshot = self.snapshot();
         let index = snapshot.pattern_index.as_deref()?;
-        crate::decompose::decompose(&snapshot.engine(), index, question)
+        with_engine_scratch(|scratch| {
+            crate::decompose::decompose_with(&snapshot.engine(), index, question, scratch)
+        })
     }
 
     /// Execute a decomposition, returning ranked chained answers.
     pub fn execute_decomposition(&self, decomposition: &Decomposition) -> Option<Vec<Answer>> {
         let snapshot = self.snapshot();
-        crate::decompose::execute(&snapshot.engine(), decomposition)
+        with_engine_scratch(|scratch| {
+            crate::decompose::execute_with(&snapshot.engine(), decomposition, scratch)
+        })
     }
 }
 
@@ -1154,7 +1149,7 @@ mod tests {
 
         // Sink without explain: sampled into the histograms but the response
         // body stays identical to an untraced run (the cache contract).
-        let (response, breakdown) = traced.answer_traced(&quiet);
+        let (response, breakdown) = traced.snapshot().answer_traced(&quiet);
         assert_eq!(response.stage_us, None);
         assert!(breakdown.is_some());
         assert_eq!(stats.traced_requests(), 2);

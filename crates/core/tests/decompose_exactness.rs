@@ -1,8 +1,8 @@
 //! Theorem 2 / Algorithm 2 exactness: the DP's optimum must equal a
 //! brute-force maximization of Eq (28) over all decompositions.
 
-use kbqa_core::decompose::{decompose, PatternIndex};
-use kbqa_core::engine::QaEngine;
+use kbqa_core::decompose::{decompose_with, PatternIndex};
+use kbqa_core::engine::{QaEngine, ScratchSpace};
 use kbqa_core::learner::{Learner, LearnerConfig};
 use kbqa_corpus::{CorpusConfig, QaCorpus, World, WorldConfig};
 use kbqa_nlp::{tokenize, GazetteerNer};
@@ -14,7 +14,7 @@ fn brute_force(engine: &QaEngine<'_>, index: &PatternIndex, words: &[&str]) -> f
         return 0.0;
     }
     let text = tokenize(&words.join(" "));
-    let mut best = if engine.is_answerable(&text) {
+    let mut best = if engine.score_bfq(&text, &mut ScratchSpace::new()).is_ok() {
         1.0
     } else {
         0.0
@@ -93,7 +93,7 @@ fn dp_matches_brute_force_on_short_questions() {
             continue; // brute force blows up beyond this
         }
         let expected = brute_force(&engine, &index, &words);
-        match decompose(&engine, &index, q) {
+        match decompose_with(&engine, &index, q, &mut ScratchSpace::new()) {
             Some(d) => {
                 assert!(
                     (d.probability - expected).abs() < 1e-9,

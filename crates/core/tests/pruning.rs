@@ -1,8 +1,9 @@
 //! Model pruning: the long tail of rare templates can be dropped without
 //! invalidating ids, and high-support answering survives.
 
-use kbqa_core::engine::QaEngine;
+use kbqa_core::engine::{QaEngine, ScratchSpace};
 use kbqa_core::learner::{Learner, LearnerConfig};
+use kbqa_core::service::Refusal;
 use kbqa_corpus::{CorpusConfig, QaCorpus, World, WorldConfig};
 use kbqa_nlp::GazetteerNer;
 
@@ -46,13 +47,14 @@ fn pruning_drops_rare_templates_but_keeps_answers() {
         .find(|&c| !world.gold_values(pop, c).is_empty())
         .unwrap();
     let q = format!("what is the population of {}", world.store.surface(city));
-    let a_full = engine_full.answer_bfq(&q);
-    let a_pruned = engine_pruned.answer_bfq(&q);
-    assert!(!a_pruned.is_empty(), "pruned model lost a common template");
-    assert_eq!(
-        a_full.first().map(|a| &a.value),
-        a_pruned.first().map(|a| &a.value)
-    );
+    let mut scratch = ScratchSpace::new();
+    let a_full = engine_full
+        .answer_bfq_explained_with(&q, &mut scratch)
+        .expect("full model answers");
+    let a_pruned = engine_pruned
+        .answer_bfq_explained_with(&q, &mut scratch)
+        .expect("pruned model lost a common template");
+    assert_eq!(a_full[0].value, a_pruned[0].value);
 }
 
 #[test]
@@ -78,5 +80,10 @@ fn pruning_everything_yields_refusals() {
     let pop = world.intent_by_name("city_population").unwrap();
     let city = world.subjects_of(pop)[0];
     let q = format!("what is the population of {}", world.store.surface(city));
-    assert!(engine.answer_bfq(&q).is_empty());
+    // The entity grounds and the template is still in the (id-stable)
+    // catalog, but pruning emptied its predicate row.
+    assert_eq!(
+        engine.answer_bfq_explained_with(&q, &mut ScratchSpace::new()),
+        Err(Refusal::NoPredicateAboveTheta)
+    );
 }

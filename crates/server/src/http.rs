@@ -2457,8 +2457,38 @@ enum Lookup {
     Miss(Box<AdmittedAnswer>),
 }
 
-/// `POST /answer`, loop half: parse, admit (`400` on a bad body, `409`
-/// below a requested `min_epoch`), key and look up — exactly once per
+/// Admission checks shared by `POST /answer` and `POST /batch`, made
+/// against the one snapshot the requests will run under: `400` for a
+/// `top_k` of 0 (the engine ranks into a top-k that must hold at least one
+/// answer), and `409` when a requested `min_epoch` is above the snapshot's
+/// model epoch. A batch is admitted or rejected whole.
+fn admit(snapshot: &ServiceSnapshot, requests: &[QaRequest]) -> Result<(), Response> {
+    if requests.iter().any(|r| r.top_k == Some(0)) {
+        return Err(Response::error(400, "top_k must be at least 1"));
+    }
+    // Read-your-reload: a client that just drove `/admin/reload` may pin a
+    // floor epoch; a replica still serving below it answers 409 instead of
+    // silently serving stale answers. The whole batch runs under one model
+    // epoch, so one member pinning a floor the snapshot cannot meet rejects
+    // the whole batch — mixed-epoch partial batches are exactly what
+    // `min_epoch` exists to prevent.
+    if let Some(min_epoch) = requests.iter().filter_map(|r| r.min_epoch).max() {
+        if snapshot.model_epoch() < min_epoch {
+            return Err(Response::error(
+                409,
+                &format!(
+                    "serving model epoch {} is below requested min_epoch {min_epoch}",
+                    snapshot.model_epoch()
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `POST /answer`, loop half: parse, admit (`400` on a bad body or a
+/// `top_k` of 0, `409` below a requested `min_epoch`; see [`admit`]), key
+/// and look up — exactly once per
 /// request. A hit serializes the very `QaResponse` a cold run produced, so
 /// the body is byte-identical either way. Bounded work only: this never
 /// runs the kernel.
@@ -2476,19 +2506,8 @@ fn answer_lookup(state: &AppState, body: &[u8]) -> Lookup {
     }
     let service = state.service.load();
     let snapshot = service.snapshot();
-    // Read-your-reload: a client that just drove `/admin/reload` may pin a
-    // floor epoch; a replica still serving below it answers 409 instead of
-    // silently serving stale answers.
-    if let Some(min_epoch) = request.min_epoch {
-        if snapshot.model_epoch() < min_epoch {
-            return Lookup::Served(Response::error(
-                409,
-                &format!(
-                    "serving model epoch {} is below requested min_epoch {min_epoch}",
-                    snapshot.model_epoch()
-                ),
-            ));
-        }
+    if let Err(response) = admit(&snapshot, std::slice::from_ref(&request)) {
+        return Lookup::Served(response);
     }
     let key = snapshot.cache_key(&request);
     let cached = state.cache.get(&key);
@@ -2570,26 +2589,13 @@ struct BatchSetup {
 }
 
 /// Parse and admit one `/batch` body. `Err` carries the early response
-/// (parse error or `min_epoch` 409).
+/// (parse error, or an [`admit`] rejection: `top_k` 0 or `min_epoch` 409).
 fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
     let requests: Vec<QaRequest> = parse_body(body)?;
     state.metrics.record_batch_request(requests.len());
     let service = state.service.load();
     let snapshot = service.snapshot();
-    // The whole batch runs under one model epoch, so one member pinning a
-    // floor the snapshot cannot meet rejects the whole batch — mixed-epoch
-    // partial batches are exactly what `min_epoch` exists to prevent.
-    if let Some(min_epoch) = requests.iter().filter_map(|r| r.min_epoch).max() {
-        if snapshot.model_epoch() < min_epoch {
-            return Err(Response::error(
-                409,
-                &format!(
-                    "serving model epoch {} is below requested min_epoch {min_epoch}",
-                    snapshot.model_epoch()
-                ),
-            ));
-        }
-    }
+    admit(&snapshot, &requests)?;
     let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
     let responses = state.cache.get_batch(&keys);
     Ok(BatchSetup {
@@ -2675,8 +2681,8 @@ const STREAM_LANE_QUESTIONS: usize = 16;
 /// * everything runs under the **one** [`ServiceSnapshot`] taken up front,
 ///   so a `/admin/reload` landing mid-stream can never mix epochs within
 ///   one stream;
-/// * early failures (parse error, `min_epoch` 409) are plain buffered
-///   error responses — the stream head only goes out once success is
+/// * early failures (parse error, `top_k` 0, `min_epoch` 409) are plain
+///   buffered error responses — the stream head only goes out once success is
 ///   certain.
 ///
 /// `started` flips once the stream head is pushed; the caller uses it to

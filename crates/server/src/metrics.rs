@@ -282,85 +282,65 @@ pub struct MetricsSnapshot {
     pub batch_questions: u64,
     /// `POST /batch?stream=1` requests served over chunked transfer (a
     /// subset of `batch_requests`).
-    #[serde(default)]
     pub batch_stream_requests: u64,
     /// Chunks shipped by streamed `/batch` responses (terminator excluded).
-    #[serde(default)]
     pub batch_stream_chunks: u64,
     /// Engine outcomes that produced at least one answer.
     pub answered: u64,
     /// Engine outcomes that refused.
     pub refused: u64,
     /// Refusals at entity grounding (pipeline step 1).
-    #[serde(default)]
     pub refused_no_entity: u64,
     /// Refusals at template matching (pipeline step 2).
-    #[serde(default)]
     pub refused_no_template: u64,
     /// Refusals at predicate scoring — nothing above θ (pipeline step 3).
-    #[serde(default)]
     pub refused_no_predicate: u64,
     /// Refusals at value lookup — empty `V(e, p)` (pipeline step 4).
-    #[serde(default)]
     pub refused_empty_values: u64,
     /// Refusals because a shard was unavailable mid-query (the router
     /// isolated a shard panic).
-    #[serde(default)]
     pub refused_shard_unavailable: u64,
     /// Connections shed with 429 by **connection-level** admission control
     /// at accept time (also counted in `responses_4xx`, never in
     /// `requests_total`: no request was parsed).
-    #[serde(default)]
     pub requests_shed: u64,
     /// Parsed `POST /answer` / `POST /batch` requests shed with 429 by
     /// **route-level** admission (worker queue saturated; counted in
     /// `requests_total` and `responses_4xx`; the connection stays open).
-    #[serde(default)]
     pub requests_shed_by_route: u64,
     /// Successful `POST /admin/reload` model swaps.
-    #[serde(default)]
     pub admin_reloads: u64,
     /// Connections currently owned by the event loops (gauge).
-    #[serde(default)]
     pub open_connections: u64,
     /// `epoll_wait` returns that carried at least one event (counter).
-    #[serde(default)]
     pub epoll_wakeups: u64,
     /// Jobs pushed to the worker pool (counter). `POST /answer` cache hits
     /// and early errors are served on the event loop and never dispatch.
-    #[serde(default)]
     pub worker_dispatches: u64,
     /// `/answer` latency histogram.
     pub answer_latency: HistogramSnapshot,
     /// `/batch` latency histogram.
     pub batch_latency: HistogramSnapshot,
     /// Per-pipeline-stage latency histograms (traced requests only).
-    #[serde(default)]
     pub stage: StageStatsSnapshot,
     /// Answer-cache effectiveness (filled by the HTTP layer).
-    #[serde(default)]
     pub cache: CacheStats,
     /// Store backend kind, e.g. `"heap"` or `"mmap"` (filled by the HTTP
     /// layer; previously only visible at `/healthz`).
-    #[serde(default)]
     pub store_backend: String,
     /// Triples in the serving store (filled by the HTTP layer).
-    #[serde(default)]
     pub store_triples: u64,
     /// Current model epoch (filled by the HTTP layer).
-    #[serde(default)]
     pub model_epoch: u64,
     /// Per-shard serving telemetry (filled by the HTTP layer when the
     /// service serves sharded; `null` otherwise). Deliberately NOT
     /// `skip_serializing_if`: the vendored serde_derive reads any serde
     /// attribute containing `skip` as a full `#[serde(skip)]` and would
     /// drop the field from the wire entirely.
-    #[serde(default)]
     pub shards: Option<kbqa_obs::ShardObsSnapshot>,
     /// Per-shard worker-process supervision state (filled by the HTTP
     /// layer when the service runs shard workers; empty for unsharded
     /// serving).
-    #[serde(default)]
     pub shard_workers: Vec<crate::supervisor::WorkerStatus>,
 }
 
@@ -634,30 +614,6 @@ mod tests {
         assert_eq!(restored.requests_total, 1);
         assert_eq!(restored.batch_questions, 7);
         assert_eq!(restored.answer_latency.count, 1);
-    }
-
-    #[test]
-    fn pre_stage_snapshots_still_deserialize() {
-        // A snapshot serialized before the per-stage / per-cause / cache
-        // fields existed must load with defaults (the rolling-deploy
-        // contract).
-        let hist = r#"{"count":0,"total_us":0,"mean_us":0.0,"p50_us":0,"p95_us":0,"p99_us":0,"buckets":[]}"#;
-        let legacy = format!(
-            concat!(
-                r#"{{"uptime_secs":1.5,"requests_total":9,"responses_2xx":9,"#,
-                r#""responses_4xx":0,"responses_5xx":0,"answer_requests":5,"#,
-                r#""batch_requests":0,"batch_questions":0,"answered":4,"#,
-                r#""refused":1,"answer_latency":{hist},"batch_latency":{hist}}}"#
-            ),
-            hist = hist
-        );
-        let restored: MetricsSnapshot = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(restored.requests_total, 9);
-        assert_eq!(restored.refused, 1);
-        assert_eq!(restored.refused_no_entity, 0);
-        assert_eq!(restored.stage.traced_requests, 0);
-        assert_eq!(restored.cache, CacheStats::default());
-        assert_eq!(restored.store_backend, "");
     }
 
     #[test]

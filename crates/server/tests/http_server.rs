@@ -99,8 +99,8 @@ fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str, cl
     .expect("write request");
 }
 
-/// Read one response (keep-alive safe: stops after `Content-Length` bytes).
-fn read_response(stream: &mut TcpStream) -> (u16, String) {
+/// Read one response head: the status code and the raw header block.
+fn read_head(stream: &mut TcpStream) -> (u16, String) {
     let mut raw = Vec::new();
     let mut byte = [0u8; 1];
     while !raw.ends_with(b"\r\n\r\n") {
@@ -118,6 +118,12 @@ fn read_response(stream: &mut TcpStream) -> (u16, String) {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("status line");
+    (status, head)
+}
+
+/// Read one response (keep-alive safe: stops after `Content-Length` bytes).
+fn read_response(stream: &mut TcpStream) -> (u16, String) {
+    let (status, head) = read_head(stream);
     let content_length: usize = head
         .lines()
         .find_map(|l| l.strip_prefix("Content-Length: "))
@@ -436,6 +442,71 @@ fn protocol_and_payload_errors_are_reported_not_fatal() {
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
 
+    server.shutdown();
+}
+
+#[test]
+fn top_k_zero_is_a_bad_request_on_answer() {
+    let f = fixture();
+    let server = start_server();
+    let addr = server.local_addr();
+
+    // An answerable question: the kernel would reach its top-k stage, which
+    // needs room for at least one answer.
+    let zero = serde_json::to_string(&QaRequest::new(&f.questions[0]).with_top_k(0)).unwrap();
+    let (status, body) = http(addr, "POST", "/answer", &zero);
+    assert_eq!(status, 400, "top_k 0 is the client's error: {body}");
+    assert!(body.contains("top_k"), "the error names the field: {body}");
+
+    // The server is unharmed, and the same question with a usable top_k
+    // answers.
+    let one = serde_json::to_string(&QaRequest::new(&f.questions[0]).with_top_k(1)).unwrap();
+    let (status, body) = http(addr, "POST", "/answer", &one);
+    assert_eq!(status, 200);
+    let answered: QaResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(answered.answers.len(), 1);
+
+    let m = metrics(addr);
+    assert_eq!(m.responses_5xx, 0);
+    assert_eq!(m.responses_4xx, 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_top_k_zero_member_rejects_the_whole_batch_buffered_or_streamed() {
+    let f = fixture();
+    let server = start_server();
+    let addr = server.local_addr();
+
+    let requests = vec![
+        QaRequest::new(&f.questions[0]),
+        QaRequest::new(&f.questions[1]).with_top_k(0),
+    ];
+    let body = serde_json::to_string(&requests).unwrap();
+
+    let (status, reply) = http(addr, "POST", "/batch", &body);
+    assert_eq!(status, 400, "buffered batch: {reply}");
+    assert!(
+        reply.contains("top_k"),
+        "the error names the field: {reply}"
+    );
+
+    // Streamed: rejected before the stream head, as a plain buffered 400.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    send_request(&mut stream, "POST", "/batch?stream=1", &body, true);
+    let (status, head) = read_head(&mut stream);
+    assert_eq!(status, 400, "streamed batch head: {head}");
+    assert!(
+        !head.to_ascii_lowercase().contains("transfer-encoding"),
+        "no stream head may go out: {head}"
+    );
+
+    // Nothing was computed or cached for the rejected batches.
+    assert_eq!(cache_stats(addr).entries, 0);
+    let m = metrics(addr);
+    assert_eq!(m.responses_5xx, 0);
+    assert_eq!(m.responses_4xx, 2);
+    assert_eq!(m.batch_stream_requests, 0);
     server.shutdown();
 }
 

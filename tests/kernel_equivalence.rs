@@ -103,8 +103,12 @@ fn sweep(f: &Fixture, config: EngineConfig, label: &str) -> u64 {
     for question in question_set(f) {
         let tokens = tokenize(&question);
         let reference = engine.bfq_kernel_reference(&tokens);
+        // Both optimized entry points: the question level (tokenizes into
+        // the scratch) and the pre-tokenized kernel the benchmarks time.
         let optimized = engine.answer_bfq_explained_with(&question, &mut scratch);
         assert_identical(&optimized, &reference, &question, label);
+        let kernel = engine.bfq_kernel(&tokens, &mut scratch);
+        assert_identical(&kernel, &reference, &question, label);
     }
     scratch.pruned_events()
 }
